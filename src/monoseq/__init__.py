@@ -72,7 +72,6 @@ from .search import (
     PosetSearchResult,
     SearchResult,
     TheoremReport,
-    classify_extremal,
     exhaustive_min,
     heuristic_min,
     min_hk_over_posets,

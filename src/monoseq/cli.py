@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .config import DEFAULT_BUDGETS
+from .config import DEFAULT_BUDGETS, Budgets
 from .counting import brute_force_count, count_monotone, length_profile
 from .cuts import prune
 from .decomposition import decompose, index_sets, verify_example_structure
@@ -91,18 +91,19 @@ def _env_int(name: str, default: int) -> int:
         raise ValidationError(f"{name} must be an integer, got {raw!r}") from exc
 
 
-def _resolve_runtime(args) -> tuple[int, int, object]:
+def _resolve_runtime(args) -> tuple[int, Budgets]:
     workers = args.workers if args.workers is not None else _env_int("MONOSEQ_WORKERS", 1)
     budget = (
         args.budget
-        if getattr(args, "budget", None) is not None
+        if args.budget is not None
         else _env_int("MONOSEQ_BUDGET", DEFAULT_BUDGETS.search_state_budget)
     )
-    budgets = DEFAULT_BUDGETS.with_overrides(search_state_budget=budget)
-    return workers, budget, budgets
+    return workers, DEFAULT_BUDGETS.with_overrides(search_state_budget=budget)
 
 
-def _config(args, workers: int) -> RunConfig:
+def _config(args) -> RunConfig:
+    """The run configuration as resolved from flags, environment and defaults."""
+    workers, budgets = _resolve_runtime(args)
     flags = {
         key: value
         for key, value in sorted(vars(args).items())
@@ -114,7 +115,7 @@ def _config(args, workers: int) -> RunConfig:
         output_format=getattr(args, "format", "json"),
         seed=getattr(args, "seed", 0) or 0,
         workers=workers,
-        budgets={"search_state_budget": getattr(args, "budget", None) or DEFAULT_BUDGETS.search_state_budget},
+        budgets={"search_state_budget": budgets.search_state_budget},
     )
 
 
@@ -157,7 +158,7 @@ def _read_json_payload(args) -> dict:
 
 
 def _cmd_count(args) -> int:
-    workers, _, budgets = _resolve_runtime(args)
+    _, budgets = _resolve_runtime(args)
     p = _read_permutation(args)
     report = count_monotone(p, args.k)
     payload = report.to_json_dict()
@@ -170,13 +171,12 @@ def _cmd_count(args) -> int:
         )
     if args.profile:
         payload["profile"] = length_profile(p, args.profile).to_json_dict()
-    payload["config"] = _config(args, workers).to_json_dict()
+    payload["config"] = _config(args).to_json_dict()
     _emit(payload, args)
     return EXIT_OK
 
 
 def _cmd_construct(args) -> int:
-    workers, _, _ = _resolve_runtime(args)
     if args.family == "tau":
         if args.n is None:
             raise ValidationError("construct tau requires --n")
@@ -185,7 +185,7 @@ def _cmd_construct(args) -> int:
         p = build_sigma_extremal(args.k, args.variant)
     if args.json:
         payload = p.to_json_dict()
-        payload["config"] = _config(args, workers).to_json_dict()
+        payload["config"] = _config(args).to_json_dict()
         _emit(payload, args)
     else:
         line = p.to_line() + "\n"
@@ -198,7 +198,6 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_formula(args) -> int:
-    workers, _, _ = _resolve_runtime(args)
     split = param_split(args.k, args.n)
     payload = {
         "m_tau": m_tau_formula(args.k, args.n),
@@ -212,13 +211,13 @@ def _cmd_formula(args) -> int:
     if args.n >= args.k + 1:
         frac = mu(args.k, args.n, payload["m_tau"])
         payload["mu"] = {"numerator": frac.numerator, "denominator": frac.denominator}
-    payload["config"] = _config(args, workers).to_json_dict()
+    payload["config"] = _config(args).to_json_dict()
     _emit(payload, args)
     return EXIT_OK
 
 
 def _cmd_poset(args) -> int:
-    workers, _, budgets = _resolve_runtime(args)
+    _, budgets = _resolve_runtime(args)
     P = _read_poset(args)
     payload: dict = {"n": P.n}
     if args.action == "decompose":
@@ -264,13 +263,12 @@ def _cmd_poset(args) -> int:
         if not args.k:
             raise ValidationError("poset verify-example requires --k")
         payload["report"] = verify_example_structure(P, args.k).to_json_dict()
-    payload["config"] = _config(args, workers).to_json_dict()
+    payload["config"] = _config(args).to_json_dict()
     _emit(payload, args)
     return EXIT_OK
 
 
 def _cmd_lemma(args) -> int:
-    workers, _, _ = _resolve_runtime(args)
     data = _read_json_payload(args)
     payload: dict
     if args.lemma == "shadow":
@@ -300,31 +298,25 @@ def _cmd_lemma(args) -> int:
         P = poset_from_json(data["poset"])
         report = surplus_conclusion_check(P, data["k"], data["t"])
         payload = {"report": report.to_json_dict()}
-    payload["config"] = _config(args, workers).to_json_dict()
+    payload["config"] = _config(args).to_json_dict()
     _emit(payload, args)
     return EXIT_OK
 
 
-def _search_payload(result) -> dict:
-    payload = result.to_json_dict()
-    payload.pop("elapsed_seconds", None)
-    return payload
-
-
 def _cmd_search(args) -> int:
-    workers, _, budgets = _resolve_runtime(args)
+    workers, budgets = _resolve_runtime(args)
     if args.mode == "exhaustive":
         result = exhaustive_min(args.n, args.k, budgets, workers)
-        payload = _search_payload(result)
+        payload = result.to_json_dict()
         payload["formula"] = str(m_tau_formula(args.k, args.n))
         payload["match"] = result.minimum == m_tau_formula(args.k, args.n)
     elif args.mode == "heuristic":
         result = heuristic_min(args.n, args.k, trials=args.trials, seed=args.seed, budgets=budgets)
-        payload = _search_payload(result)
+        payload = result.to_json_dict()
     else:  # posets
         result = min_hk_over_posets(args.n, args.k, budgets)
         payload = result.to_json_dict()
-    payload["config"] = _config(args, workers).to_json_dict()
+    payload["config"] = _config(args).to_json_dict()
 
     if args.format == "csv" and args.mode == "exhaustive":
         buf = io.StringIO()
@@ -343,7 +335,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_repro(args) -> int:
-    workers, _, budgets = _resolve_runtime(args)
+    workers, budgets = _resolve_runtime(args)
     quick = args.quick
     theorem_rows = [(n, 2) for n in range(5, 8 if quick else 11)]
     if not quick:
@@ -417,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pos.add_argument("--k", type=int, default=None)
     p_pos.add_argument("--t", type=int, default=None)
-    p_pos.add_argument("--json", action="store_true")
     p_pos.add_argument("--input", default=None)
     p_pos.add_argument("--out", default=None)
     p_pos.set_defaults(func=_cmd_poset)
@@ -457,7 +448,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
     except BudgetExceededError as exc:

@@ -1,10 +1,12 @@
 """Exact counting of monotone subsequences of a fixed length.
 
-Two independent engines: a layered dynamic program over a value-indexed
-binary indexed tree (O(n * L * log n) big-integer additions), and a plain
-subset-enumeration oracle used to cross-check it.  Decreasing counts reuse
-the increasing engine on the position-reversed permutation, so there is a
-single code path to trust.
+One private kernel counts the increasing subsequences of every length up to
+a cap, one layer at a time over a value-indexed binary indexed tree
+(O(n * L * log n) big-integer additions).  Decreasing counts run the same
+kernel on the position-reversed permutation, and the chains and antichains
+of a dimension-2 poset (``monoseq.posets``) run it on the poset's witness,
+so there is a single code path to trust.  A plain subset-enumeration oracle
+cross-checks it.
 """
 
 from __future__ import annotations
@@ -76,29 +78,35 @@ class LengthProfile:
         }
 
 
-def count_increasing_exact(p: Permutation, L: int) -> int:
-    """Number of index sets i_1 < ... < i_L with strictly increasing values.
+def _chain_totals(p: Permutation, top: int) -> list[int]:
+    """totals[L] = number of increasing L-subsequences of p, for L = 1..top <= n.
 
     Layered recurrence f_L(i) = sum_{j < i, p(j) < p(i)} f_{L-1}(j) with
-    f_1 = 1, one binary indexed tree per layer keyed by value.
+    f_1 = 1.  Each layer gets a fresh binary indexed tree keyed by value, and
+    only the previous and the current per-position vectors are alive.
     """
+    values = p.values
+    prev = [1] * p.n
+    totals = [0, p.n]
+    for _ in range(2, top + 1):
+        tree = _Fenwick(p.n)
+        cur = []
+        for v, f in zip(values, prev):
+            cur.append(tree.prefix(v - 1))
+            if f:
+                tree.add(v, f)
+        totals.append(sum(cur))
+        prev = cur
+    return totals
+
+
+def count_increasing_exact(p: Permutation, L: int) -> int:
+    """Number of index sets i_1 < ... < i_L with strictly increasing values."""
     if L < 1:
         raise ValidationError("subsequence length must be >= 1")
-    n = p.n
-    if L > n:
+    if L > p.n:
         return 0
-    if L == 1:
-        return n
-    layers = [_Fenwick(n) for _ in range(L + 1)]
-    for v in p.values:
-        f = [0] * (L + 1)
-        f[1] = 1
-        for lev in range(2, L + 1):
-            f[lev] = layers[lev - 1].prefix(v - 1)
-        for lev in range(1, L + 1):
-            if f[lev]:
-                layers[lev].add(v, f[lev])
-    return layers[L].prefix(n)
+    return _chain_totals(p, L)[L]
 
 
 def count_monotone(p: Permutation, k: int) -> CountReport:
@@ -137,25 +145,8 @@ def length_profile(p: Permutation, Lmax: int) -> LengthProfile:
     """Exact counts for every length 2..Lmax in one layered pass per type."""
     if Lmax < 2:
         raise ValidationError("Lmax must be >= 2")
-    inc = _all_lengths(p, Lmax)
-    dec = _all_lengths(p.reverse(), Lmax)
+    top = min(Lmax, p.n)
+    pad = [0] * (Lmax - top)
+    inc = _chain_totals(p, top) + pad
+    dec = _chain_totals(p.reverse(), top) + pad
     return LengthProfile({L: (inc[L], dec[L]) for L in range(2, Lmax + 1)})
-
-
-def _all_lengths(p: Permutation, Lmax: int) -> dict[int, int]:
-    n = p.n
-    top = min(Lmax, n)
-    layers = [_Fenwick(n) for _ in range(top + 1)]
-    for v in p.values:
-        f = [0] * (top + 1)
-        if top >= 1:
-            f[1] = 1
-        for lev in range(2, top + 1):
-            f[lev] = layers[lev - 1].prefix(v - 1)
-        for lev in range(1, top + 1):
-            if f[lev]:
-                layers[lev].add(v, f[lev])
-    out = {L: 0 for L in range(2, Lmax + 1)}
-    for L in range(2, top + 1):
-        out[L] = layers[L].prefix(n)
-    return out

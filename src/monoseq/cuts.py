@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ValidationError
-from .posets import Poset, dual, height, iter_bits, level_of_each, width
+from .posets import Poset, dual, height, iter_bits, level_of_each, reverse_order, width
 
 
 class _FlowNet:
@@ -82,8 +82,7 @@ def _max_chain_elements(P: Poset) -> tuple[list[int], list[int]]:
     """Elements on some maximum-length chain, with their levels."""
     level = level_of_each(P)
     h = max(level) if P.n else 0
-    rev = Poset(P.n, P.below, P.above, None)
-    up = level_of_each(rev)
+    up = level_of_each(reverse_order(P))
     members = [x for x in range(P.n) if level[x] + up[x] - 1 == h]
     return members, level
 

@@ -43,8 +43,7 @@ class Decomposition:
 
     Derived sets per level: ``a_prime`` (u >= 1), ``a_double_prime``
     (u >= 2), ``b`` (upper-level a_prime elements with exactly one
-    down-neighbor), ``b_all`` (same but over the whole upper level, the
-    variant some arguments need), ``d`` (down-degree exactly two), and
+    down-neighbor), ``d`` (down-degree exactly two), and
     ``c`` (a_prime elements with at most one up-neighbor in the next
     level's a_prime).
     """
@@ -56,7 +55,6 @@ class Decomposition:
     a_prime: list[list[int]]
     a_double_prime: list[list[int]]
     b: list[list[int]]
-    b_all: list[list[int]]
     c: list[list[int]]
     d: list[list[int]]
 
@@ -108,12 +106,10 @@ def _decompose(P: Poset) -> Decomposition:
     a_double_prime = [[x for x in lvl if u[x] >= 2] for lvl in levels]
 
     b: list[list[int]] = [[]]
-    b_all: list[list[int]] = [[]]
     d: list[list[int]] = [[]]
     for i in range(h - 1):
         prime_upper = [y for y in levels[i + 1] if u[y] >= 1]
         b.append([y for y in prime_upper if down_deg[y] == 1])
-        b_all.append([y for y in levels[i + 1] if down_deg[y] == 1])
         d.append([y for y in prime_upper if down_deg[y] == 2])
 
     c: list[list[int]] = []
@@ -133,7 +129,6 @@ def _decompose(P: Poset) -> Decomposition:
         a_prime=a_prime,
         a_double_prime=a_double_prime,
         b=b,
-        b_all=b_all,
         c=c,
         d=d,
     )

@@ -32,7 +32,8 @@ class Permutation:
             raise ValidationError("permutation must have length >= 1")
         seen = [False] * (n + 1)
         for v in self.values:
-            if not isinstance(v, int) or not 1 <= v <= n or seen[v]:
+            # type(v) is int, unlike isinstance, rejects bool values.
+            if type(v) is not int or not 1 <= v <= n or seen[v]:
                 raise ValidationError(f"values are not a bijection on [{n}]: {self.values}")
             seen[v] = True
 

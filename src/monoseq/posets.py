@@ -8,8 +8,9 @@ decomposition loops stay cheap at desk scale.
 A witness is a permutation realizing the poset: element i is below j
 exactly when i < j as positions and witness(i) < witness(j) as values.
 Chains then correspond to increasing subsequences and antichains to
-decreasing ones, length-preservingly, and the dual order (swap the two
-roles) exists exactly in this dimension-2 case.
+decreasing ones, length-preservingly, so a poset with a witness has its
+chains and antichains counted by the ``monoseq.counting`` kernel.  The dual
+order (swap the two roles) exists exactly in this dimension-2 case.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_BUDGETS, Budgets
+from .counting import count_increasing_exact
 from .errors import BudgetExceededError, ValidationError
 from .perms import Permutation
 
@@ -154,10 +156,18 @@ def poset_from_json(data) -> Poset:
         data = json.loads(data)
     if not isinstance(data, dict) or "n" not in data:
         raise ValidationError('poset JSON must be {"n": int, "relation": [[i,j],...], ...}')
-    n = data["n"]
-    pairs = [(i - 1, j - 1) for i, j in data.get("relation", [])]
-    witness = Permutation(tuple(data["witness"])) if data.get("witness") else None
-    return poset_from_relation(n, pairs, witness)
+    n, relation, witness = data["n"], data.get("relation", []), data.get("witness")
+    if type(n) is not int:
+        raise ValidationError(f"poset size must be an integer, got {n!r}")
+    if not isinstance(relation, list) or not all(
+        isinstance(e, (list, tuple)) and len(e) == 2 and all(type(x) is int for x in e)
+        for e in relation
+    ):
+        raise ValidationError("poset relation must be a list of [i, j] integer pairs")
+    if witness is not None and not isinstance(witness, list):
+        raise ValidationError(f"poset witness must be a list, got {witness!r}")
+    pairs = [(i - 1, j - 1) for i, j in relation]
+    return poset_from_relation(n, pairs, Permutation(tuple(witness)) if witness else None)
 
 
 def chain_poset(n: int) -> Poset:
@@ -286,25 +296,26 @@ def max_bipartite_matching_pairs(adjacency: dict[int, list[int]]) -> dict[int, i
         for u in left:
             if u not in match_l:
                 dfs(u)
+    # dfs reaches itself through its closure; dropping the name breaks that
+    # cycle, so the adjacency is freed on return, not at the next collection.
+    del dfs
     return match_l
 
 
 def count_chains_of_size(P: Poset, m: int) -> int:
-    """Exact number of m-element chains (per-element DP in level order)."""
+    """Exact number of m-element chains.
+
+    With a witness these are the witness's increasing m-subsequences, counted
+    by the ``monoseq.counting`` kernel; without one, by the predecessor DP.
+    """
     if m < 1:
         raise ValidationError("chain size must be >= 1")
+    if P.witness is not None:
+        return count_increasing_exact(P.witness, m)
     if m > P.n:
         return 0
-    if m == 1:
-        return P.n
-    order = sorted(range(P.n), key=lambda i: P.below[i].bit_count())
-    preds = [list(iter_bits(P.below[i])) for i in range(P.n)]
-    current = [1] * P.n
-    for _ in range(m - 1):
-        nxt = [0] * P.n
-        for i in order:
-            nxt[i] = sum(current[j] for j in preds[i])
-        current = nxt
+    for current in _chains_by_maximum(P, m):
+        pass
     return sum(current)
 
 
@@ -316,38 +327,38 @@ def count_chains_through(P: Poset, m: int, anchor: int) -> int:
         raise ValidationError("anchor out of range")
     if m > P.n:
         return 0
-    down = _chain_counts_ending_at(P, anchor, m)
-    up = _chain_counts_ending_at(reverse_order(P), anchor, m)
-    return sum(down[t] * up[m + 1 - t] for t in range(1, m + 1))
+    down = [current[anchor] for current in _chains_by_maximum(P, m)]
+    up = [current[anchor] for current in _chains_by_maximum(reverse_order(P), m)]
+    return sum(down[t] * up[m - 1 - t] for t in range(m))
 
 
-def _chain_counts_ending_at(P: Poset, anchor: int, m: int) -> list[int]:
-    """counts[t] = number of t-element chains with maximum = anchor, t <= m."""
-    order = sorted(range(P.n), key=lambda i: P.below[i].bit_count())
-    preds = [list(iter_bits(P.below[i])) for i in range(P.n)]
-    counts = [0] * (m + 2)
-    counts[1] = 1
+def _chains_by_maximum(P: Poset, top: int) -> Iterator[list[int]]:
+    """Per-size vectors for t = 1..top: entry x counts the t-chains with maximum x.
+
+    Each vector is computed from the previous one alone (a t-chain is a
+    (t-1)-chain plus an element above its maximum), so no element order is
+    needed.
+    """
+    preds = [list(iter_bits(mask)) for mask in P.below]
     current = [1] * P.n
-    for t in range(2, m + 1):
-        nxt = [0] * P.n
-        for i in order:
-            nxt[i] = sum(current[j] for j in preds[i])
-        current = nxt
-        counts[t] = current[anchor]
-    return counts
+    yield current
+    for _ in range(top - 1):
+        current = [sum(current[j] for j in pred) for pred in preds]
+        yield current
 
 
 def count_antichains_of_size(P: Poset, m: int, budgets: Budgets = DEFAULT_BUDGETS) -> int:
     """Exact number of m-element antichains.
 
-    With a witness this is the chain count of the dual.  Without one it is
-    a budgeted backtracking count over independent sets of the
+    With a witness these are the witness's decreasing m-subsequences, counted
+    by the ``monoseq.counting`` kernel on the reversed witness.  Without one
+    it is a budgeted backtracking count over independent sets of the
     comparability graph, since the general problem blows up.
     """
     if m < 1:
         raise ValidationError("antichain size must be >= 1")
     if P.witness is not None:
-        return count_chains_of_size(dual(P), m)
+        return count_increasing_exact(P.witness.reverse(), m)
     if m > P.n:
         return 0
     if m == 1:

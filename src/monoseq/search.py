@@ -56,23 +56,10 @@ class SearchResult:
         }
 
 
-def classify_extremal(p: Permutation, k: int) -> str:
-    """Label which monotone (k+1)-subsequence types occur."""
-    report = count_monotone(p, k)
-    if report.increasing and report.decreasing:
-        return "mixed"
-    if report.increasing:
-        return "increasing-only"
-    if report.decreasing:
-        return "decreasing-only"
-    return "none"
-
-
 def _search_task(args) -> tuple[int, list[tuple[int, ...]], int, bool]:
     """DFS below one fixed prefix; returns (best, canonical witnesses, nodes, truncated)."""
     n, k, prefix, bound, node_budget, witness_cap = args
     L = k + 1
-    half = (n + 1) // 2
 
     vals: list[int] = []
     used = [False] * (n + 1)
@@ -157,13 +144,8 @@ def _search_task(args) -> tuple[int, list[tuple[int, ...]], int, bool]:
 
     count = 0
     ok = True
+    # _prefixes already applies the position-1 and position-2 rules.
     for pos, v in enumerate(prefix, start=1):
-        if pos == 1 and v > half:
-            ok = False
-            break
-        if pos == 2 and 2 * prefix[0] == n + 1 and 2 * v > n:
-            ok = False
-            break
         if v in (1, n) and not (prefix[0] <= pos <= n + 1 - prefix[0]):
             ok = False
             break

@@ -39,7 +39,9 @@ from monoseq.perms import (
     m_tau_formula,
 )
 from monoseq.posets import (
+    Poset,
     count_chains_of_size,
+    dual,
     h_k,
     height,
     poset_from_perm,
@@ -167,6 +169,10 @@ def test_05_correspondence():
         r = count_monotone(p, k)
         assert count_chains_of_size(P, k + 1) == r.increasing
         assert h_k(P, k) == r.total
+        # Witness-free copies take the predecessor DP, independent of the kernel.
+        D = dual(P)
+        assert count_chains_of_size(Poset(P.n, P.above, P.below), k + 1) == r.increasing
+        assert count_chains_of_size(Poset(D.n, D.above, D.below), k + 1) == r.decreasing
     elapsed = time.perf_counter() - start
     report(5, "correspondence", elapsed < 60, elapsed)
     assert elapsed < 60

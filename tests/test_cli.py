@@ -32,6 +32,13 @@ def load_schema(name):
     return json.loads(path.read_text())
 
 
+def poset_input(P):
+    """A poset as CLI input text, checked against the documented poset schema."""
+    data = P.to_json_dict()
+    jsonschema.validate(data, load_schema("poset.schema.json"))
+    return json.dumps(data)
+
+
 class TestConstruct:
     def test_tau_line_output(self):
         code, out = run_cli(["construct", "tau", "--k", "3", "--n", "13"])
@@ -96,13 +103,15 @@ class TestCount:
     def test_rejects_garbage(self):
         code, _ = run_cli(["count", "--k", "2"], stdin_text="1 1 2")
         assert code == EXIT_VALIDATION
+        code, _ = run_cli(["count", "--k", "1"], stdin_text='{"values":[true]}')
+        assert code == EXIT_VALIDATION
 
 
 class TestPoset:
     def test_decompose_payload(self):
         P = poset_from_perm(build_sigma_extremal(3, 1))
         code, out = run_cli(
-            ["poset", "decompose", "--k", "3"], stdin_text=json.dumps(P.to_json_dict())
+            ["poset", "decompose", "--k", "3"], stdin_text=poset_input(P)
         )
         assert code == EXIT_OK
         payload = json.loads(out)
@@ -112,7 +121,7 @@ class TestPoset:
 
     def test_hk_and_surplus(self):
         P = poset_from_perm(build_tau(3, 13))
-        text = json.dumps(P.to_json_dict())
+        text = poset_input(P)
         _, out = run_cli(["poset", "hk", "--k", "3"], stdin_text=text)
         assert json.loads(out)["h_k"] == "7"
         _, out = run_cli(["poset", "surplus", "--k", "3"], stdin_text=text)
@@ -121,19 +130,28 @@ class TestPoset:
     def test_prune_trace(self):
         P = poset_from_perm(parse_permutation("1 2 3"))
         code, out = run_cli(
-            ["poset", "prune", "--k", "2", "--t", "1"], stdin_text=json.dumps(P.to_json_dict())
+            ["poset", "prune", "--k", "2", "--t", "1"], stdin_text=poset_input(P)
         )
         payload = json.loads(out)
         assert payload["prune"]["final"]["n"] == 0
+        jsonschema.validate(payload["prune"]["final"], load_schema("poset.schema.json"))
         assert len(payload["prune"]["rounds"]) == 3
 
     def test_verify_example(self):
         P = poset_from_perm(build_sigma_extremal(3, 2))
         code, out = run_cli(
-            ["poset", "verify-example", "--k", "3"], stdin_text=json.dumps(P.to_json_dict())
+            ["poset", "verify-example", "--k", "3"], stdin_text=poset_input(P)
         )
         payload = json.loads(out)
         assert payload["report"]["case"] == "ii" and payload["report"]["passed"]
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"n":2,"relation":[[1]]}', '{"n":"3"}', '{"n":3,"relation":[],"witness":5}', "{n: 3"],
+    )
+    def test_malformed_json_is_validation_error(self, text):
+        code, _ = run_cli(["poset", "hk", "--k", "2"], stdin_text=text)
+        assert code == EXIT_VALIDATION
 
 
 class TestLemma:
@@ -238,11 +256,15 @@ class TestContracts:
         )
         assert code == EXIT_OK
 
-    def test_config_header_reports_resolved_values(self):
+    def test_config_header_reports_resolved_values(self, monkeypatch):
         _, out = run_cli(["--workers", "2", "formula", "--k", "2", "--n", "5"])
         payload = json.loads(out)
         assert payload["config"]["workers"] == 2
         assert payload["config"]["subcommand"] == "formula"
+        # A budget from the environment is the one reported.
+        monkeypatch.setenv("MONOSEQ_BUDGET", "123456")
+        _, out = run_cli(["search", "exhaustive", "--n", "5", "--k", "2"])
+        assert json.loads(out)["config"]["budgets"] == {"search_state_budget": 123456}
 
     def test_installed_entry_point(self):
         proc = subprocess.run(

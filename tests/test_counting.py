@@ -87,6 +87,14 @@ class TestLengthProfile:
     def test_identity_profile(self):
         profile = length_profile(identity(4), 4).per_length
         assert profile == {2: (6, 0), 3: (4, 0), 4: (1, 0)}
+        # Lengths past n count nothing.
+        assert length_profile(identity(3), 5).per_length == {
+            2: (3, 0),
+            3: (1, 0),
+            4: (0, 0),
+            5: (0, 0),
+        }
+        assert length_profile(identity(1), 3).per_length == {2: (0, 0), 3: (0, 0)}
 
     def test_small_mixed_profile(self):
         # No triple of (2,1,4,3) is monotone; only the pair level is populated.

@@ -34,6 +34,8 @@ class TestPermutationType:
             Permutation((0, 1, 2))
         with pytest.raises(ValidationError):
             Permutation(())
+        with pytest.raises(ValidationError):
+            Permutation((True,))  # bool is an int subclass, not a value
 
     def test_text_and_json_round_trip(self):
         p = build_tau(3, 13)

@@ -7,6 +7,7 @@ from monoseq.counting import count_monotone
 from monoseq.errors import BudgetExceededError, ValidationError
 from monoseq.perms import Permutation, build_sigma_extremal, build_tau, identity
 from monoseq.posets import (
+    Poset,
     antichain_poset,
     chain_poset,
     count_antichains_of_size,
@@ -25,6 +26,11 @@ from monoseq.posets import (
 from monoseq.decomposition import decompose
 
 from conftest import permutations_st
+
+
+def witness_free(P):
+    """The same order without its witness, so counts take the predecessor DP."""
+    return Poset(P.n, P.above, P.below)
 
 
 class TestConstruction:
@@ -168,7 +174,9 @@ class TestChainCounting:
     def test_matches_increasing_subsequences(self, p, m):
         # Chains of the permutation poset are exactly increasing subsequences.
         P = poset_from_perm(p)
-        assert count_chains_of_size(P, m) == count_monotone(p, m - 1).increasing
+        expected = count_monotone(p, m - 1).increasing
+        assert count_chains_of_size(P, m) == expected
+        assert count_chains_of_size(witness_free(P), m) == expected
 
     @given(permutations_st(max_n=10), st.integers(min_value=1, max_value=4))
     @settings(max_examples=40)
@@ -218,6 +226,9 @@ class TestHomogenousCount:
         assert count_chains_of_size(P, k + 1) == report.increasing
         assert count_antichains_of_size(P, k + 1) == report.decreasing
         assert h_k(P, k) == report.total
+        # The predecessor DP, independent of the counting kernel.
+        assert count_chains_of_size(witness_free(P), k + 1) == report.increasing
+        assert count_chains_of_size(witness_free(dual(P)), k + 1) == report.decreasing
 
 
 class TestSurplus:

@@ -7,15 +7,11 @@ from monoseq.counting import brute_force_count, count_monotone
 from monoseq.errors import BudgetExceededError, ValidationError
 from monoseq.perms import (
     Permutation,
-    build_sigma_extremal,
-    build_tau,
     canonical_form,
-    identity,
     m_tau_formula,
     mu,
 )
 from monoseq.search import (
-    classify_extremal,
     exhaustive_min,
     heuristic_min,
     min_hk_over_posets,
@@ -92,20 +88,6 @@ class TestExhaustiveMin:
             exhaustive_min(0, 2)
         with pytest.raises(ValidationError):
             exhaustive_min(5, 2, workers=0)
-
-
-class TestClassifyExtremal:
-    def test_block_permutation(self):
-        assert classify_extremal(build_tau(3, 13), 3) == "increasing-only"
-
-    def test_mixed_family(self):
-        assert classify_extremal(build_sigma_extremal(3, 1), 3) == "mixed"
-
-    def test_too_short(self):
-        assert classify_extremal(identity(3), 3) == "none"
-
-    def test_decreasing_only(self):
-        assert classify_extremal(Permutation((3, 2, 1)), 1) == "decreasing-only"
 
 
 class TestVerifyTheorem:
