@@ -35,7 +35,6 @@ from .lemmas import (
     surplus_conclusion_check,
 )
 from .perms import (
-    Permutation,
     build_sigma_extremal,
     build_tau,
     delta_formula,
@@ -45,7 +44,7 @@ from .perms import (
     parse_permutation,
     permutation_from_json,
 )
-from .posets import Poset, h_k, height, poset_from_json, surplus, width
+from .posets import h_k, height, poset_from_json, surplus, width
 from .search import exhaustive_min, heuristic_min, min_hk_over_posets, verify_theorem
 
 EXIT_OK = 0
@@ -129,37 +128,60 @@ def _emit(payload: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _read_permutation(args) -> Permutation:
-    if getattr(args, "input", None):
-        with open(args.input) as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
-    text = text.strip()
-    if text.startswith("{"):
-        return permutation_from_json(text)
-    return parse_permutation(text)
+def _read_input(args) -> str:
+    """The text of the --input file, or of stdin when no file is named."""
+    path = getattr(args, "input", None)
+    try:
+        if path:
+            with open(path) as fh:
+                return fh.read()
+        return sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path or 'stdin'}: {exc}") from exc
 
 
-def _read_poset(args) -> Poset:
-    if getattr(args, "input", None):
-        with open(args.input) as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
-    return poset_from_json(text)
+def _is_int(value) -> bool:
+    return type(value) is int  # unlike isinstance, rejects bool
 
 
-def _read_json_payload(args) -> dict:
-    if getattr(args, "input", None):
-        with open(args.input) as fh:
-            return json.load(fh)
-    return json.load(sys.stdin)
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(check(x) for x in value)
+
+
+_ints = _list_of(_is_int)
+_scalars = _list_of(lambda x: not isinstance(x, (list, dict)))
+
+# The keys each lemma payload must carry, with a check on each value.
+_LEMMA_KEYS = {
+    "shadow": {"ground_size": _is_int, "members": _list_of(_ints), "b": _is_int},
+    "signatures": {"domain": _scalars, "rows": _list_of(_scalars)},
+    "connected": {
+        "t": _is_int,
+        "edges": _list_of(lambda e: _ints(e) and len(e) == 2),
+        "c": _is_int,
+    },
+    "signature-bound": {"poset": lambda v: isinstance(v, dict), "k": _is_int, "ell": _is_int},
+    "surplus-bound": {"poset": lambda v: isinstance(v, dict), "k": _is_int, "t": _is_int},
+}
+
+
+def _read_lemma_payload(args) -> dict:
+    data = json.loads(_read_input(args))
+    keys = _LEMMA_KEYS[args.lemma]
+    if not isinstance(data, dict):
+        raise ValidationError(f"lemma {args.lemma} input must be an object with {sorted(keys)}")
+    for key, check in keys.items():
+        if key not in data or not check(data[key]):
+            raise ValidationError(f"lemma {args.lemma} input lacks a well-formed {key!r}")
+    if data.get("anchor") is not None and not _is_int(data["anchor"]):
+        raise ValidationError("lemma anchor must be an integer")
+    return data
 
 
 def _cmd_count(args) -> int:
     _, budgets = _resolve_runtime(args)
-    p = _read_permutation(args)
+    text = _read_input(args).strip()
+    p = permutation_from_json(text) if text.startswith("{") else parse_permutation(text)
     report = count_monotone(p, args.k)
     payload = report.to_json_dict()
     payload["n"] = p.n
@@ -218,7 +240,7 @@ def _cmd_formula(args) -> int:
 
 def _cmd_poset(args) -> int:
     _, budgets = _resolve_runtime(args)
-    P = _read_poset(args)
+    P = poset_from_json(_read_input(args))
     payload: dict = {"n": P.n}
     if args.action == "decompose":
         dec = decompose(P)
@@ -269,7 +291,7 @@ def _cmd_poset(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
-    data = _read_json_payload(args)
+    data = _read_lemma_payload(args)
     payload: dict
     if args.lemma == "shadow":
         family = SetFamily.from_lists(data["ground_size"], data["members"])
@@ -356,8 +378,6 @@ def _cmd_repro(args) -> int:
     pwriter.writerow(["n", "k", "poset_min", "perm_min", "equal"])
     for n in probe_rows:
         res = min_hk_over_posets(n, 2, budgets)
-        assert res.permutation_minimum is not None
-        assert res.minimum <= res.permutation_minimum
         pwriter.writerow(
             [n, 2, res.minimum, res.permutation_minimum, res.minimum == res.permutation_minimum]
         )

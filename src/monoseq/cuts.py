@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ValidationError
-from .posets import Poset, dual, height, iter_bits, level_of_each, reverse_order, width
+from .decomposition import decompose
+from .posets import Poset, dual, height, width
 
 
 class _FlowNet:
@@ -78,37 +79,32 @@ class _FlowNet:
                 flow += pushed
 
 
-def _max_chain_elements(P: Poset) -> tuple[list[int], list[int]]:
-    """Elements on some maximum-length chain, with their levels."""
-    level = level_of_each(P)
-    h = max(level) if P.n else 0
-    up = level_of_each(reverse_order(P))
-    members = [x for x in range(P.n) if level[x] + up[x] - 1 == h]
-    return members, level
-
-
 def _min_cut_size(P: Poset, removed: frozenset[int]) -> int:
-    """Minimum number of elements (outside `removed`) meeting every maximum chain."""
-    members, level = _max_chain_elements(P)
-    members = [x for x in members if x not in removed]
-    h = height(P)
-    if h == 0:
-        return 0
+    """Minimum number of elements (outside `removed`) meeting every maximum chain.
+
+    P must have height >= 1.  The elements on some maximum chain are
+    decompose(P).a_prime, and a maximum chain steps only along
+    decompose(P).hasse, between consecutive levels.
+    """
+    dec = decompose(P)
+    members = [x for lvl in dec.a_prime for x in lvl if x not in removed]
     idx = {x: t for t, x in enumerate(members)}
     m = len(members)
     src, sink = 2 * m, 2 * m + 1
     net = _FlowNet(2 * m + 2)
     INF = 1 << 60
-    for x in members:
-        t = idx[x]
+    for t in range(m):
         net.add_edge(2 * t, 2 * t + 1, 1)
-        if level[x] == 1:
-            net.add_edge(src, 2 * t, INF)
-        if level[x] == h:
-            net.add_edge(2 * t + 1, sink, INF)
-        for y in iter_bits(P.above[x]):
-            if y in idx and level[y] == level[x] + 1:
-                net.add_edge(2 * t + 1, 2 * idx[y], INF)
+    for x in dec.a_prime[0]:
+        if x in idx:
+            net.add_edge(src, 2 * idx[x], INF)
+    for x in dec.a_prime[-1]:
+        if x in idx:
+            net.add_edge(2 * idx[x] + 1, sink, INF)
+    for edges in dec.hasse:
+        for x, y in edges:
+            if x in idx and y in idx:
+                net.add_edge(2 * idx[x] + 1, 2 * idx[y], INF)
     return net.max_flow(src, sink)
 
 
@@ -126,8 +122,7 @@ def min_height_reducing_set(P: Poset) -> list[int]:
     chosen: list[int] = []
     removed: set[int] = set()
     remaining = target
-    members, _ = _max_chain_elements(P)
-    for x in sorted(members):
+    for x in sorted(x for lvl in decompose(P).a_prime for x in lvl):
         if remaining == 0:
             break
         trial = frozenset(removed | {x})

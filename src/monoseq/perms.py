@@ -82,7 +82,7 @@ def parse_permutation(text: str) -> Permutation:
 def permutation_from_json(data) -> Permutation:
     if isinstance(data, str):
         data = json.loads(data)
-    if not isinstance(data, dict) or "values" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("values"), list):
         raise ValidationError('permutation JSON must be {"n": int, "values": [...]}')
     p = Permutation(tuple(data["values"]))
     if "n" in data and data["n"] != p.n:

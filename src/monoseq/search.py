@@ -1,14 +1,17 @@
 """Exhaustive and heuristic minimization of the monotone-subsequence count,
 plus the exhaustive poset analogue.
 
-The exhaustive engine runs a lexicographic DFS over one-line prefixes with
-an incremental layered count and prunes any prefix whose in-prefix count
-already exceeds the best known value.  The stacked-block formula seeds the
-bound (the block permutation is always a candidate), so the bound is sound
-from the first node.  Orbit symmetry under reverse/complement/inverse cuts
-the tree through necessary conditions on the lexicographically least orbit
-member; witnesses are canonicalized at the leaves, so reported minimizers
-are orbit representatives.
+The exhaustive engine runs a lexicographic DFS over one-line prefixes and
+prunes any prefix whose in-prefix count already exceeds the best known
+value.  It keeps the layered count indexed by value: for each length t and
+value w, the monotone t-subsequences of the prefix that end at w, so
+placing a value takes one prefix sum per layer and direction.  The
+stacked-block formula seeds the bound (the block permutation is always a
+candidate), so the bound is sound from the first node.  Orbit symmetry
+under reverse/complement/inverse cuts the tree through necessary
+conditions on the lexicographically least orbit member; witnesses are
+canonicalized at the leaves, so reported minimizers are orbit
+representatives.
 
 Workers split the space by the first two positions and never share state,
 which keeps results and visit counts bit-reproducible for a fixed
@@ -62,10 +65,12 @@ def _search_task(args) -> tuple[int, list[tuple[int, ...]], int, bool]:
     L = k + 1
 
     vals: list[int] = []
-    used = [False] * (n + 1)
-    # inc[t][j] / dec[t][j]: monotone t-subsequences ending at prefix position j.
-    inc = [[] for _ in range(L + 1)]
-    dec = [[] for _ in range(L + 1)]
+    # inc[t][w] / dec[t][w]: increasing / decreasing t-subsequences of the
+    # prefix that end at value w; a value not yet placed reads 0 in every
+    # layer, so inc[1][w] is 1 exactly when w is placed.
+    inc = [[0] * (n + 1) for _ in range(L + 1)]
+    dec = [[0] * (n + 1) for _ in range(L + 1)]
+    used = inc[1]
 
     best = bound
     witnesses: set[tuple[int, ...]] = set()
@@ -73,49 +78,31 @@ def _search_task(args) -> tuple[int, list[tuple[int, ...]], int, bool]:
     truncated = False
 
     def push(v: int, count: int) -> int:
-        new_inc = [0] * (L + 1)
-        new_dec = [0] * (L + 1)
-        new_inc[1] = new_dec[1] = 1
+        inc[1][v] = dec[1][v] = 1
         for t in range(2, L + 1):
-            row_i = inc[t - 1]
-            row_d = dec[t - 1]
-            si = sd = 0
-            for j, w in enumerate(vals):
-                if w < v:
-                    si += row_i[j]
-                else:
-                    sd += row_d[j]
-            new_inc[t] = si
-            new_dec[t] = sd
-        for t in range(1, L + 1):
-            inc[t].append(new_inc[t])
-            dec[t].append(new_dec[t])
+            inc[t][v] = sum(inc[t - 1][:v])
+            dec[t][v] = sum(dec[t - 1][v + 1 :])
         vals.append(v)
-        used[v] = True
-        return count + new_inc[L] + new_dec[L]
+        return count + inc[L][v] + dec[L][v]
 
     def pop(v: int) -> None:
         for t in range(1, L + 1):
-            inc[t].pop()
-            dec[t].pop()
+            inc[t][v] = dec[t][v] = 0
         vals.pop()
-        used[v] = False
 
-    def record_leaf(count: int) -> None:
-        nonlocal best, truncated
-        if count < best:
-            best = count
-            witnesses.clear()
-        if count == best:
+    def dfs(count: int) -> None:
+        nonlocal best, nodes, truncated
+        pos = len(vals) + 1  # 1-based position being filled
+        if pos > n:
+            if count < best:
+                best = count
+                witnesses.clear()
             word = canonical_form(tuple(vals))
             if word in witnesses or len(witnesses) < witness_cap:
                 witnesses.add(word)
             else:
                 truncated = True
-
-    def dfs(count: int) -> None:
-        nonlocal nodes
-        pos = len(vals) + 1  # 1-based position being filled
+            return
         p1 = vals[0]
         window_hi = n + 1 - p1
         # The least orbit member has values 1 and n placed inside
@@ -136,25 +123,15 @@ def _search_task(args) -> tuple[int, list[tuple[int, ...]], int, bool]:
                 )
             new_count = push(v, count)
             if new_count <= best:
-                if len(vals) == n:
-                    record_leaf(new_count)
-                else:
-                    dfs(new_count)
+                dfs(new_count)
             pop(v)
 
     count = 0
-    ok = True
     # _prefixes already applies the position-1 and position-2 rules.
-    for pos, v in enumerate(prefix, start=1):
-        if v in (1, n) and not (prefix[0] <= pos <= n + 1 - prefix[0]):
-            ok = False
-            break
+    for v in prefix:
         count = push(v, count)
-    if ok and count <= best:
-        if len(vals) == n:
-            record_leaf(count)
-        else:
-            dfs(count)
+    if count <= best:
+        dfs(count)
     return best, sorted(witnesses), nodes, truncated
 
 
@@ -168,6 +145,9 @@ def _prefixes(n: int) -> list[tuple[int, ...]]:
             if v2 == v1:
                 continue
             if 2 * v1 == n + 1 and 2 * v2 > n:
+                continue
+            # Values 1 and n lie in the window [v1, n+1-v1] of the DFS.
+            if v2 in (1, n) and v1 > 2:
                 continue
             out.append((v1, v2))
     return out
@@ -429,10 +409,10 @@ def min_hk_over_posets(
     best_below: Optional[list[int]] = None
     visited = 0
 
-    incomp = [0] * n  # incomparability masks among placed elements
-
     def antichains_with_top(j: int, need: int) -> int:
-        # antichains containing j plus `need` pairwise-incomparable smaller ids
+        # Antichains containing j plus `need` pairwise-incomparable smaller
+        # ids.  Ids follow a linear extension, so an id i below y is
+        # incomparable with y exactly when i is not in below[y].
         def rec(candidates: int, need: int) -> int:
             if need == 0:
                 return 1
@@ -441,20 +421,15 @@ def min_hk_over_posets(
             total = 0
             cand = candidates
             while cand:
-                low = cand & -cand
-                i = low.bit_length() - 1
-                cand ^= low
-                total += rec(cand & incomp[i], need - 1)
+                i = cand.bit_length() - 1
+                cand ^= 1 << i
+                total += rec(cand & ~below[i], need - 1)
             return total
 
-        return rec(incomp[j], need)
+        return rec(((1 << j) - 1) & ~below[j], need)
 
     def place(j: int, mask: int) -> int:
         below[j] = mask
-        incomp[j] = ((1 << j) - 1) & ~mask
-        for i in range(j):
-            if not (mask >> i) & 1:
-                incomp[i] |= 1 << j
         row = chain_counts[j]
         row[1] = 1
         for t in range(2, m + 1):
@@ -467,13 +442,7 @@ def min_hk_over_posets(
             other = chain_counts[i]
             for t in range(2, m + 1):
                 row[t] += other[t - 1]
-        added = row[m] + antichains_with_top(j, m - 1)
-        return added
-
-    def unplace(j: int) -> None:
-        for i in range(j):
-            incomp[i] &= ~(1 << j)
-        below[j] = 0
+        return row[m] + antichains_with_top(j, m - 1)
 
     def closed_downsets(j: int) -> list[int]:
         out = []
@@ -497,10 +466,10 @@ def min_hk_over_posets(
             return
         for mask in closed_downsets(j):
             visited += 1
+            # place(j) overwrites below[j]; ids >= j are never read before it.
             added = place(j, mask)
             if best is None or count + added < best:
                 rec(j + 1, count + added)
-            unplace(j)
 
     rec(0, 0)
     assert best is not None and best_below is not None
@@ -515,7 +484,11 @@ def min_hk_over_posets(
     perm_minimum: Optional[int] = None
     if compare_with_permutations and n <= budgets.exhaustive_max_n:
         perm_minimum = exhaustive_min(n, k, budgets).minimum
-        assert best <= perm_minimum, "poset minimum cannot exceed the permutation minimum"
+        # Every permutation's poset is among the enumerated orders.
+        if best > perm_minimum:
+            raise AssertionError(
+                f"poset minimum {best} exceeds the permutation minimum {perm_minimum}"
+            )
 
     return PosetSearchResult(
         n=n,

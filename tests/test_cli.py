@@ -100,10 +100,14 @@ class TestCount:
             payload = json.loads(out)
             assert payload["total"] == m_tau_formula(k, n), (k, n)
 
-    def test_rejects_garbage(self):
+    def test_rejects_garbage(self, tmp_path):
         code, _ = run_cli(["count", "--k", "2"], stdin_text="1 1 2")
         assert code == EXIT_VALIDATION
         code, _ = run_cli(["count", "--k", "1"], stdin_text='{"values":[true]}')
+        assert code == EXIT_VALIDATION
+        code, _ = run_cli(["count", "--k", "1"], stdin_text='{"values":5}')
+        assert code == EXIT_VALIDATION
+        code, _ = run_cli(["count", "--k", "1", "--input", str(tmp_path / "missing")])
         assert code == EXIT_VALIDATION
 
 
@@ -182,6 +186,23 @@ class TestLemma:
         payload = {"poset": P.to_json_dict(), "k": 2, "t": 1}
         code, out = run_cli(["lemma", "surplus-bound"], stdin_text=json.dumps(payload))
         assert json.loads(out)["report"]["verdict"] is None
+
+
+    @pytest.mark.parametrize(
+        "lemma, text",
+        [
+            ("shadow", '{"x": 1}'),
+            ("connected", "[1,2]"),
+            ("connected", '{"t":3,"edges":[[0]],"c":1}'),
+            ("signature-bound", '{"poset":{"n":2},"k":"1","ell":1}'),
+            ("signature-bound", '{"poset":{"n":2},"k":1,"ell":1,"anchor":"1"}'),
+            ("signatures", '{"domain":[[0]],"rows":[[1]]}'),
+            ("surplus-bound", '{"poset":{"n":3},"k":2}'),
+        ],
+    )
+    def test_malformed_payload_is_validation_error(self, lemma, text):
+        code, _ = run_cli(["lemma", lemma], stdin_text=text)
+        assert code == EXIT_VALIDATION
 
 
 class TestSearch:

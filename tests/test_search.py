@@ -11,6 +11,7 @@ from monoseq.perms import (
     m_tau_formula,
     mu,
 )
+from monoseq.posets import h_k, poset_from_relation
 from monoseq.search import (
     exhaustive_min,
     heuristic_min,
@@ -63,6 +64,12 @@ class TestExhaustiveMin:
             b.witnesses,
             b.states_visited,
         )
+
+    def test_visit_counts_are_pinned(self):
+        # Frozen visit counts: a change to how a node is evaluated must not
+        # change which nodes the search visits.
+        assert exhaustive_min(9, 2).states_visited == 176_141
+        assert exhaustive_min(9, 3).states_visited == 56_103
 
     def test_size_cap(self):
         with pytest.raises(BudgetExceededError):
@@ -188,6 +195,30 @@ class TestMinHkOverPosets:
         result = min_hk_over_posets(6, 2)
         assert result.minimum == 2
         assert result.permutation_minimum == 2
+        assert result.posets_visited == 1_345
+
+    def test_reduction_free_sweep_of_small_orders(self):
+        # Every strict order on 0..n-1 that the identity labeling extends,
+        # found by testing each set of pairs (i, j), i < j, for transitivity,
+        # and h_k counted on each one from scratch.
+        for n in range(1, 7):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            orders = []
+            for mask in range(1 << len(pairs)):
+                rel = [p for b, p in enumerate(pairs) if (mask >> b) & 1]
+                above = [0] * n
+                for i, j in rel:
+                    above[i] |= 1 << j
+                if all(above[j] & ~above[i] == 0 for i, j in rel):
+                    orders.append(poset_from_relation(n, rel))
+            assert len(orders) == (1, 2, 7, 40, 357, 4_824)[n - 1]
+            for k in (1, 2, 3):
+                result = min_hk_over_posets(n, k)
+                assert result.minimum == min(h_k(P, k) for P in orders), (n, k)
+                witness = poset_from_relation(
+                    n, [(i - 1, j - 1) for i, j in result.witness_relation]
+                )
+                assert h_k(witness, k) == result.minimum, (n, k)
 
     def test_poset_minimum_bounded_by_permutation_minimum(self):
         for n in (3, 4, 5, 6):
