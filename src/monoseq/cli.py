@@ -118,14 +118,17 @@ def _config(args) -> RunConfig:
     )
 
 
-def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w") as fh:
+def _write(text: str, path: Optional[str]) -> None:
+    """Write text to the named file, or to stdout when no file is named."""
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, args) -> None:
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
 
 
 def _read_input(args) -> str:
@@ -210,12 +213,7 @@ def _cmd_construct(args) -> int:
         payload["config"] = _config(args).to_json_dict()
         _emit(payload, args)
     else:
-        line = p.to_line() + "\n"
-        if getattr(args, "out", None):
-            with open(args.out, "w") as fh:
-                fh.write(line)
-        else:
-            sys.stdout.write(line)
+        _write(p.to_line() + "\n", args.out)
     return EXIT_OK
 
 
@@ -345,12 +343,7 @@ def _cmd_search(args) -> int:
         writer = csv.writer(buf)
         writer.writerow(["n", "k", "minimum", "formula", "match"])
         writer.writerow([args.n, args.k, payload["minimum"], payload["formula"], payload["match"]])
-        text = buf.getvalue()
-        if getattr(args, "out", None):
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(buf.getvalue(), args.out)
         return EXIT_OK
     _emit(payload, args)
     return EXIT_OK
@@ -382,15 +375,8 @@ def _cmd_repro(args) -> int:
             [n, 2, res.minimum, res.permutation_minimum, res.minimum == res.permutation_minimum]
         )
 
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(main_buf.getvalue())
-        probe_path = args.out + ".q1.csv"
-        with open(probe_path, "w") as fh:
-            fh.write(probe_buf.getvalue())
-    else:
-        sys.stdout.write(main_buf.getvalue())
-        sys.stdout.write(probe_buf.getvalue())
+    _write(main_buf.getvalue(), args.out)
+    _write(probe_buf.getvalue(), args.out and args.out + ".q1.csv")
     return EXIT_OK
 
 

@@ -130,7 +130,8 @@ def min_height_reducing_set(P: Poset) -> list[int]:
             chosen.append(x)
             removed.add(x)
             remaining -= 1
-    assert len(chosen) == target, "greedy cut extraction failed"
+    if len(chosen) != target:
+        raise AssertionError("greedy cut extraction failed")
     return chosen
 
 

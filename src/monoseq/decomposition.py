@@ -237,8 +237,8 @@ def disjoint_chain_cover(P: Poset, i: int, j: int) -> ChainCoverResult:
         chains = [[x] + heads[y] for x, y in sorted(matching.items())]
 
     d = k - len(chains)
-    if not violations:
-        assert dec.sigma[i - 1] >= dec.sigma[j - 1] + d, "chain-cover deficiency bound failed"
+    if not violations and dec.sigma[i - 1] < dec.sigma[j - 1] + d:
+        raise AssertionError("chain-cover deficiency bound failed")
     return ChainCoverResult(chains=chains, d=d, k=k, violations=violations)
 
 
@@ -402,13 +402,17 @@ def _case_two_order_clause(
     z = stray[0]
     rest = sorted(set(range(P.n)) - set(a1))
     sub = P.induced(rest)
-    back = {idx: e for idx, e in enumerate(rest)}
-    chains = [[back[x] for x in ch] for ch in _max_chains(sub) if back[ch[0]] == z]
-    if len(chains) != 1:
+    sd = decompose(sub)
+    z_sub = rest.index(z)
+    # Maximum chains of the rest start on its first level, and u counts
+    # the maximum-chain tails from each element.
+    starting = sd.u[z_sub] if z_sub in sd.levels[0] else 0
+    if starting != 1:
         return ClauseResult(
-            "path-chain-order", False, f"{len(chains)} maximum chains start at the stray element"
+            "path-chain-order", False, f"{starting} maximum chains start at the stray element"
         )
-    second = chains[0][1]
+    # That chain goes on through the one up-neighbor that has a tail.
+    second = rest[next(y for x, y in sd.hasse[0] if x == z_sub and sd.u[y] >= 1)]
     path_a1 = [x for x in path_nodes if x in set(a1)]
     ok = any(P.less(a, second) for a in path_a1)
     return ClauseResult(
@@ -418,26 +422,3 @@ def _case_two_order_clause(
         if ok
         else "no path element of A_1 lies below the chain's second element",
     )
-
-
-def _max_chains(P: Poset) -> list[list[int]]:
-    """All maximum-length chains, as level-by-level element lists."""
-    dec = decompose(P)
-    if dec.h == 0:
-        return []
-    upper_live = [set(lvl) for lvl in dec.a_prime]
-    chains: list[list[int]] = []
-
-    def extend(chain: list[int], i: int) -> None:
-        if i == dec.h:
-            chains.append(list(chain))
-            return
-        for y in sorted(upper_live[i]):
-            if P.less(chain[-1], y):
-                chain.append(y)
-                extend(chain, i + 1)
-                chain.pop()
-
-    for x in sorted(dec.a_prime[0]):
-        extend([x], 1)
-    return chains

@@ -66,9 +66,10 @@ def lower_shadow(family: SetFamily, b: int) -> SetFamily:
         frozenset(sub) for m in family.members for sub in combinations(sorted(m), b)
     )
     # |shadow| >= min(|F|/2, 2^b), compared with integers only.
-    assert 2 * len(shadow) >= min(len(family.members), 2 ** (b + 1)), (
-        f"shadow bound failed: |shadow|={len(shadow)}, |F|={len(family.members)}, b={b}"
-    )
+    if 2 * len(shadow) < min(len(family.members), 2 ** (b + 1)):
+        raise AssertionError(
+            f"shadow bound failed: |shadow|={len(shadow)}, |F|={len(family.members)}, b={b}"
+        )
     return SetFamily(ground_size=family.ground_size, members=shadow)
 
 
@@ -105,14 +106,14 @@ def distinguishing_sets(table: FunctionTable) -> list[frozenset[Hashable]]:
     _split(table.domain, table.rows, list(range(M)), sets)
 
     for i, s in enumerate(sets):
-        assert (1 << len(s)) <= M, f"set {i} larger than log2(M): {s}"
+        if (1 << len(s)) > M:
+            raise AssertionError(f"set {i} larger than log2(M): {s}")
     dom_index = {x: pos for pos, x in enumerate(table.domain)}
     for i in range(M):
         for j in range(i + 1, M):
             union = sets[i] | sets[j]
-            assert any(
-                table.rows[i][dom_index[x]] != table.rows[j][dom_index[x]] for x in union
-            ), f"rows {i} and {j} agree on their union"
+            if all(table.rows[i][dom_index[x]] == table.rows[j][dom_index[x]] for x in union):
+                raise AssertionError(f"rows {i} and {j} agree on their union")
     return [frozenset(s) for s in sets]
 
 
@@ -125,7 +126,8 @@ def _split(domain, rows, live: list[int], sets: list[set]) -> None:
         if len(vals) > 1:
             split_pos = pos
             break
-    assert split_pos is not None, "distinct rows must disagree somewhere"
+    if split_pos is None:
+        raise AssertionError("distinct rows must disagree somewhere")
     classes: dict = {}
     for i in live:
         classes.setdefault(rows[i][split_pos], []).append(i)
@@ -221,7 +223,8 @@ def count_connected_subsets(tree: LabeledTree, c: int) -> int:
         poly[x] = cur
 
     total = sum(poly[x][c] if c < len(poly[x]) else 0 for x in range(t))
-    assert total >= t - c + 1, f"connected-set floor failed: {total} < {t - c + 1}"
+    if total < t - c + 1:
+        raise AssertionError(f"connected-set floor failed: {total} < {t - c + 1}")
     return total
 
 

@@ -11,6 +11,12 @@ Chains then correspond to increasing subsequences and antichains to
 decreasing ones, length-preservingly, so a poset with a witness has its
 chains and antichains counted by the ``monoseq.counting`` kernel.  The dual
 order (swap the two roles) exists exactly in this dimension-2 case.
+
+Without a witness, chains are counted by a predecessor DP and antichains
+by a bitmask backtracking count, ``_antichains_among``, which the poset
+enumerator in ``monoseq.search`` shares.  It counts the last element of
+each antichain by popcount, so one node of ``antichain_node_budget`` is
+one partial antichain still short of at least one element.
 """
 
 from __future__ import annotations
@@ -232,7 +238,7 @@ def width(P: Poset) -> int:
     """Largest antichain, via a minimum chain cover (n minus a maximum matching).
 
     With a witness present the dual route is computed too and the two must
-    agree; a mismatch would mean a defect, so it is asserted.
+    agree; a mismatch would mean a defect, so it raises AssertionError.
     """
     if P.n == 0:
         return 0
@@ -242,7 +248,8 @@ def width(P: Poset) -> int:
         w = P.n - len(max_bipartite_matching_pairs(adjacency))
         if P.witness is not None:
             w_dual = height(dual(P))
-            assert w == w_dual, f"width mismatch: matching {w} vs dual height {w_dual}"
+            if w != w_dual:
+                raise AssertionError(f"width mismatch: matching {w} vs dual height {w_dual}")
         P._cache[key] = w
     return P._cache[key]
 
@@ -353,40 +360,48 @@ def count_antichains_of_size(P: Poset, m: int, budgets: Budgets = DEFAULT_BUDGET
     With a witness these are the witness's decreasing m-subsequences, counted
     by the ``monoseq.counting`` kernel on the reversed witness.  Without one
     it is a budgeted backtracking count over independent sets of the
-    comparability graph, since the general problem blows up.
+    comparability graph, since the general problem blows up.  One budget
+    node is one antichain of 1 to m - 1 elements reached on the way; the
+    m-th element is counted from the candidates left, not enumerated.
     """
     if m < 1:
         raise ValidationError("antichain size must be >= 1")
     if P.witness is not None:
         return count_increasing_exact(P.witness.reverse(), m)
-    if m > P.n:
-        return 0
-    if m == 1:
-        return P.n
-    comp = [P.above[i] | P.below[i] for i in range(P.n)]
-    nodes = 0
-    budget = budgets.antichain_node_budget
+    related = [P.above[i] | P.below[i] for i in range(P.n)]
+    return _antichains_among((1 << P.n) - 1, related, m, budgets)
 
-    def extend(start: int, banned: int, need: int) -> int:
+
+def _antichains_among(candidates: int, related: Sequence[int], need: int, budgets: Budgets) -> int:
+    """Number of need-sets of ids in the candidates mask with no two related.
+
+    related[i] must hold every smaller id related to i (larger ones may be
+    there too).  Sets are built from the highest id down: choosing i leaves
+    the smaller candidates not related to i.  A branch stops as soon as
+    fewer candidates are left than ids are needed, and the last id is not
+    chosen but counted, as the number of candidates left.  Every other
+    choice is one node against antichain_node_budget.
+    """
+    budget = budgets.antichain_node_budget
+    nodes = 0
+
+    def rec(cand: int, need: int) -> int:
         nonlocal nodes
+        if need == 1:
+            return cand.bit_count()
         total = 0
-        for i in range(start, P.n - need + 1):
-            if banned >> i & 1:
-                continue
+        while cand.bit_count() >= need:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(
-                    "antichain enumeration exceeded its node budget",
-                    needed=nodes,
-                    budget=budget,
+                    "antichain enumeration exceeded its node budget", needed=nodes, budget=budget
                 )
-            if need == 1:
-                total += 1
-            else:
-                total += extend(i + 1, banned | comp[i], need - 1)
+            i = cand.bit_length() - 1
+            cand ^= 1 << i
+            total += rec(cand & ~related[i], need - 1)
         return total
 
-    return extend(0, 0, m)
+    return rec(candidates, need)
 
 
 def h_k(P: Poset, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> int:

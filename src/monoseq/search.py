@@ -30,6 +30,7 @@ from .config import DEFAULT_BUDGETS, Budgets
 from .counting import brute_force_count, count_monotone
 from .errors import BudgetExceededError, ValidationError
 from .perms import Permutation, build_tau, canonical_form, m_tau_formula
+from .posets import _antichains_among, poset_from_relation
 
 
 @dataclass(frozen=True)
@@ -382,9 +383,7 @@ class PosetSearchResult:
         }
 
 
-def min_hk_over_posets(
-    n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS, compare_with_permutations: bool = True
-) -> PosetSearchResult:
+def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> PosetSearchResult:
     """Exact minimum of the homogenous (k+1)-set count over all n-element posets.
 
     Enumerates every strict order whose identity labeling is a linear
@@ -409,25 +408,6 @@ def min_hk_over_posets(
     best_below: Optional[list[int]] = None
     visited = 0
 
-    def antichains_with_top(j: int, need: int) -> int:
-        # Antichains containing j plus `need` pairwise-incomparable smaller
-        # ids.  Ids follow a linear extension, so an id i below y is
-        # incomparable with y exactly when i is not in below[y].
-        def rec(candidates: int, need: int) -> int:
-            if need == 0:
-                return 1
-            if candidates.bit_count() < need:
-                return 0
-            total = 0
-            cand = candidates
-            while cand:
-                i = cand.bit_length() - 1
-                cand ^= 1 << i
-                total += rec(cand & ~below[i], need - 1)
-            return total
-
-        return rec(((1 << j) - 1) & ~below[j], need)
-
     def place(j: int, mask: int) -> int:
         below[j] = mask
         row = chain_counts[j]
@@ -442,7 +422,10 @@ def min_hk_over_posets(
             other = chain_counts[i]
             for t in range(2, m + 1):
                 row[t] += other[t - 1]
-        return row[m] + antichains_with_top(j, m - 1)
+        # Ids follow a linear extension, so the ids below j that are
+        # incomparable with j are the smaller ids outside mask, and below[i]
+        # holds every smaller id related to i.
+        return row[m] + _antichains_among(((1 << j) - 1) & ~mask, below, m - 1, budgets)
 
     def closed_downsets(j: int) -> list[int]:
         out = []
@@ -472,17 +455,16 @@ def min_hk_over_posets(
                 rec(j + 1, count + added)
 
     rec(0, 0)
-    assert best is not None and best_below is not None
+    if best is None or best_below is None:
+        raise AssertionError("the poset enumeration placed no complete order")
 
     # Recover the covering pairs of the winning relation.
-    from .posets import poset_from_relation
-
     pairs = [(i, j) for j in range(n) for i in range(n) if (best_below[j] >> i) & 1]
     witness_poset = poset_from_relation(n, pairs)
     covers = [(i + 1, j + 1) for i, j in witness_poset.cover_pairs()]
 
     perm_minimum: Optional[int] = None
-    if compare_with_permutations and n <= budgets.exhaustive_max_n:
+    if n <= budgets.exhaustive_max_n:
         perm_minimum = exhaustive_min(n, k, budgets).minimum
         # Every permutation's poset is among the enumerated orders.
         if best > perm_minimum:

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -204,6 +207,24 @@ class TestAntichainCounting:
         for m in range(1, 5):
             assert count_antichains_of_size(stripped, m) == count_antichains_of_size(P, m)
 
+    def test_witness_free_matches_subset_oracle(self):
+        # Random DAGs without a witness, so not necessarily of dimension 2,
+        # counted against every m-subset checked pair by pair.
+        rng = random.Random(20240811)
+        for _ in range(40):
+            n = rng.randint(0, 10)
+            p = rng.random()
+            P = poset_from_relation(
+                n, [(i, j) for i, j in combinations(range(n), 2) if rng.random() < p]
+            )
+            for m in range(1, n + 2):
+                expected = sum(
+                    1
+                    for s in combinations(range(n), m)
+                    if not any(P.comparable(a, b) for a, b in combinations(s, 2))
+                )
+                assert count_antichains_of_size(P, m) == expected, (P.relation_pairs(), m)
+
     def test_witness_free_budget_error(self):
         stripped = poset_from_relation(12, [])
         tight = DEFAULT_BUDGETS.with_overrides(antichain_node_budget=5)
@@ -226,8 +247,10 @@ class TestHomogenousCount:
         assert count_chains_of_size(P, k + 1) == report.increasing
         assert count_antichains_of_size(P, k + 1) == report.decreasing
         assert h_k(P, k) == report.total
-        # The predecessor DP, independent of the counting kernel.
+        # The predecessor DP and the antichain backtracking, independent of
+        # the counting kernel.
         assert count_chains_of_size(witness_free(P), k + 1) == report.increasing
+        assert count_antichains_of_size(witness_free(P), k + 1) == report.decreasing
         assert count_chains_of_size(witness_free(dual(P)), k + 1) == report.decreasing
 
 
