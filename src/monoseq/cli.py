@@ -355,7 +355,7 @@ def _cmd_repro(args) -> int:
     theorem_rows = [(n, 2) for n in range(5, 8 if quick else 11)]
     if not quick:
         theorem_rows += [(10, 3), (11, 3)]
-    probe_rows = [5] if quick else [5, 6, 7]
+    probe_rows = [5] if quick else [5, 6, 7, 8, 9]
 
     main_buf = io.StringIO()
     writer = csv.writer(main_buf)

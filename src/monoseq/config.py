@@ -15,14 +15,14 @@ class Budgets:
     subset_budget: int = 2_000_000
     # Largest number of backtracking nodes one antichain count may visit:
     # a count on a witness-free poset, or the count made while placing an
-    # element in the poset enumerator (under 2^7 nodes at its n <= 8).
+    # element in the poset enumerator (under 2^8 nodes at its n <= 9).
     antichain_node_budget: int = 5_000_000
     # Largest n accepted by the exhaustive permutation search.
     exhaustive_max_n: int = 11
     # Node cap for one exhaustive search run (all workers combined).
     search_state_budget: int = 1_000_000_000
     # Largest n accepted by the exhaustive poset search.
-    poset_enum_max_n: int = 7
+    poset_enum_max_n: int = 9
     # Minimizing witnesses kept per exhaustive run.
     witness_cap: int = 10_000
 

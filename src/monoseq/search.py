@@ -16,6 +16,19 @@ representatives.
 Workers split the space by the first two positions and never share state,
 which keeps results and visit counts bit-reproducible for a fixed
 (n, k, budget, seed, workers) tuple.
+
+The poset enumerator places ids along a linear extension and counts each
+homogenous (k+1)-set at its top id.  Its incumbent starts at
+m_tau_formula(k, n) + 1 with a strict cut, because the poset of
+build_tau(k, n) reaches m_tau_formula.  At depth j it places j below every
+closed down-set D of the prefix before recursing, and lets a be the least
+count added.  Each later id i adds at least a: restricted to the prefix, its
+down-set is a closed down-set D_i, and its sets whose other members all lie
+in the prefix are the k-chains in D_i plus the k-antichains outside D_i,
+which is what placing j below D_i adds.  Sets are counted by their top id,
+so these terms are disjoint, and a child is cut when count + added +
+(n-j-1)*a reaches the incumbent.  At k = 1 this gains nothing, because every
+order has h_1 = C(n,2).
 """
 
 from __future__ import annotations
@@ -388,8 +401,23 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
 
     Enumerates every strict order whose identity labeling is a linear
     extension (each element picks a down-closed predecessor set), which
-    reaches every isomorphism class.  Counts grow monotonically as elements
-    are added, so prefixes that already exceed the incumbent are cut.
+    reaches every isomorphism class.  A (k+1)-set is counted when its top
+    id is placed, so counts grow as elements are added and a prefix is cut
+    on a lower bound for its completions; the first minimizer in DFS order
+    is never cut, so it is the reported witness.
+
+    Seed: the incumbent starts at m_tau_formula(k, n) + 1 and the cut is
+    strict, since the poset of build_tau(k, n) reaches m_tau_formula.
+
+    Closing bound: at depth j every closed down-set D of the prefix is
+    placed first, and a is the least count placing j adds over all D.  A
+    later id i, restricted to the ids below j, has a closed down-set D_i of
+    the prefix; its (k+1)-sets whose other members all lie in the prefix
+    are the k-chains in D_i plus the k-antichains outside D_i, which is
+    what placing j below D_i adds, so at least a.  These sets have top id
+    i, so the terms are disjoint, and a child is cut when count + added +
+    (n-j-1)*a reaches the incumbent.  At k = 1 nothing is gained: every
+    pair is a chain or an antichain, so every order has h_1 = C(n,2).
     """
     if n < 1 or k < 1:
         raise ValidationError("n and k must be positive")
@@ -402,18 +430,15 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
     start = time.perf_counter()
     m = k + 1
     below = [0] * n
-    # chain_counts[x][t]: chains of size t with maximum x, maintained incrementally.
-    chain_counts = [[0] * (m + 1) for _ in range(n)]
-    best: Optional[int] = None
+    # chain_counts[x][t]: chains of size t with maximum x, for the placed ids.
+    chain_counts: list[list[int]] = [[]] * n
+    best = m_tau_formula(k, n) + 1
     best_below: Optional[list[int]] = None
     visited = 0
 
-    def place(j: int, mask: int) -> int:
-        below[j] = mask
-        row = chain_counts[j]
-        row[1] = 1
-        for t in range(2, m + 1):
-            row[t] = 0
+    def place(j: int, mask: int) -> tuple[int, list[int]]:
+        """(sets with top id j, chain row of j) when j goes above the ids in mask."""
+        row = [0, 1] + [0] * (m - 1)
         rest = mask
         while rest:
             low = rest & -rest
@@ -425,38 +450,32 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
         # Ids follow a linear extension, so the ids below j that are
         # incomparable with j are the smaller ids outside mask, and below[i]
         # holds every smaller id related to i.
-        return row[m] + _antichains_among(((1 << j) - 1) & ~mask, below, m - 1, budgets)
+        return row[m] + _antichains_among(((1 << j) - 1) & ~mask, below, m - 1, budgets), row
 
-    def closed_downsets(j: int) -> list[int]:
-        out = []
-        for mask in range(1 << j):
-            rest = mask
-            needed = 0
-            while rest:
-                low = rest & -rest
-                needed |= below[low.bit_length() - 1]
-                rest ^= low
-            if needed & ~mask == 0:
-                out.append(mask)
-        return out
-
-    def rec(j: int, count: int) -> None:
+    def rec(j: int, count: int, downsets: list[int]) -> None:
+        """Enumerate ids j.. given downsets, the closed down-sets of ids < j in ascending order."""
         nonlocal best, best_below, visited
         if j == n:
-            if best is None or count < best:
+            if count < best:
                 best = count
                 best_below = list(below)
             return
-        for mask in closed_downsets(j):
-            visited += 1
-            # place(j) overwrites below[j]; ids >= j are never read before it.
-            added = place(j, mask)
-            if best is None or count + added < best:
-                rec(j + 1, count + added)
+        visited += len(downsets)
+        placed = [place(j, mask) for mask in downsets]
+        closing = (n - j - 1) * min(added for added, _ in placed)
+        bit = 1 << j
+        for mask, (added, row) in zip(downsets, placed):
+            if count + added + closing < best:
+                below[j] = mask
+                chain_counts[j] = row
+                # A down-set holds j only together with everything below j;
+                # bit j is the highest, so the list stays ascending.
+                grown = downsets + [d | bit for d in downsets if d & mask == mask]
+                rec(j + 1, count + added, grown)
 
-    rec(0, 0)
-    if best is None or best_below is None:
-        raise AssertionError("the poset enumeration placed no complete order")
+    rec(0, 0, [0])
+    if best_below is None:
+        raise AssertionError("no enumerated order reached the m_tau_formula seed")
 
     # Recover the covering pairs of the winning relation.
     pairs = [(i, j) for j in range(n) for i in range(n) if (best_below[j] >> i) & 1]

@@ -358,7 +358,7 @@ def test_10_question_one_probe(capsys):
         res = min_hk_over_posets(n, 2)
         assert res.permutation_minimum is not None
         assert res.minimum <= res.permutation_minimum
-        assert res.posets_visited == {5: 158, 6: 1_345, 7: 30_620}[n]
+        assert res.posets_visited == {5: 130, 6: 728, 7: 14_052}[n]
         rows.append((n, 2, res.minimum, res.permutation_minimum,
                      res.minimum == res.permutation_minimum))
     elapsed = time.perf_counter() - start

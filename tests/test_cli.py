@@ -233,6 +233,10 @@ class TestSearch:
         code, _ = run_cli(["--budget", "10", "search", "exhaustive", "--n", "8", "--k", "2"])
         assert code == EXIT_BUDGET
 
+    def test_posets_size_cap_exit_code(self):
+        code, _ = run_cli(["search", "posets", "--n", "10", "--k", "2"])
+        assert code == EXIT_BUDGET
+
 
 class TestRepro:
     def test_quick_tables(self):

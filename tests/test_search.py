@@ -195,7 +195,7 @@ class TestMinHkOverPosets:
         result = min_hk_over_posets(6, 2)
         assert result.minimum == 2
         assert result.permutation_minimum == 2
-        assert result.posets_visited == 1_345
+        assert result.posets_visited == 728
 
     def test_reduction_free_sweep_of_small_orders(self):
         # Every strict order on 0..n-1 that the identity labeling extends,
@@ -225,9 +225,23 @@ class TestMinHkOverPosets:
             result = min_hk_over_posets(n, 2)
             assert result.minimum <= result.permutation_minimum
 
+    def test_witness_relation_is_pinned(self):
+        # The first minimizer in DFS order; a bound that is not admissible
+        # and cuts it reports a different relation.
+        assert min_hk_over_posets(7, 2).witness_relation == [
+            (1, 5), (1, 6), (1, 7), (2, 5), (2, 6), (3, 5), (3, 7), (4, 6), (4, 7),
+        ]
+        result = min_hk_over_posets(8, 2)
+        assert result.minimum == result.permutation_minimum == 8
+        assert result.posets_visited == 106_613
+        assert result.witness_relation == [
+            (1, 5), (1, 6), (1, 7), (2, 5), (2, 6), (2, 8),
+            (3, 5), (3, 7), (3, 8), (4, 6), (4, 7), (4, 8),
+        ]
+
     def test_size_cap(self):
         with pytest.raises(BudgetExceededError):
-            min_hk_over_posets(9, 2)
+            min_hk_over_posets(10, 2)
 
 
 class TestDensity:
