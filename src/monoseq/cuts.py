@@ -2,10 +2,10 @@
 
 A height-reducing set is a set of elements meeting every maximum-length
 chain; deleting a minimum one lowers the height by exactly one.  The
-minimum cut is found by unit-capacity max flow on the vertex-split graph
-of elements that lie on some maximum chain, and made deterministic by
-greedily committing the lowest-indexed element that still admits a
-minimum cut through it.
+minimum cut is found by max flow on the vertex-split graph of elements
+that lie on some maximum chain, as a count of unit augmenting paths found
+by breadth-first search, and made deterministic by greedily committing
+the lowest-indexed element that still admits a minimum cut through it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,15 @@ from .posets import Poset, dual, height, width
 
 
 class _FlowNet:
-    """Unit/infinite capacity flow network (Dinic)."""
+    """Flow network with unit and infinite edge capacities.
+
+    ``max_flow`` augments along BFS shortest paths one unit at a time, which
+    is exact only when every s-t path of the residual graph has bottleneck
+    1.  The vertex-split networks built here are layered (source, then in-
+    and out-copies level by level, then sink), and the only edges between
+    an in-copy and its out-copy are the unit vertex edges, so every such
+    path crosses one.
+    """
 
     def __init__(self, size: int):
         self.size = size
@@ -37,46 +45,26 @@ class _FlowNet:
         self.cap.append(0)
 
     def max_flow(self, s: int, t: int) -> int:
-        import sys
-
-        if sys.getrecursionlimit() < 2 * self.size + 100:
-            sys.setrecursionlimit(2 * self.size + 100)
         flow = 0
         while True:
-            level = [-1] * self.size
-            level[s] = 0
+            via = [-1] * self.size  # via[v] = edge id that first reached v
             queue = deque([s])
-            while queue:
+            while queue and via[t] < 0:
                 u = queue.popleft()
                 for eid in self.adj[u]:
                     v = self.to[eid]
-                    if self.cap[eid] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
+                    if self.cap[eid] > 0 and via[v] < 0 and v != s:
+                        via[v] = eid
                         queue.append(v)
-            if level[t] < 0:
+            if via[t] < 0:
                 return flow
-            it = [0] * self.size
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.adj[u]):
-                    eid = self.adj[u][it[u]]
-                    v = self.to[eid]
-                    if self.cap[eid] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[eid]))
-                        if got:
-                            self.cap[eid] -= got
-                            self.cap[eid ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 62)
-                if not pushed:
-                    break
-                flow += pushed
+            v = t
+            while v != s:
+                eid = via[v]
+                self.cap[eid] -= 1
+                self.cap[eid ^ 1] += 1
+                v = self.to[eid ^ 1]
+            flow += 1
 
 
 def _min_cut_size(P: Poset, removed: frozenset[int]) -> int:

@@ -173,7 +173,7 @@ def poset_from_json(data) -> Poset:
     if witness is not None and not isinstance(witness, list):
         raise ValidationError(f"poset witness must be a list, got {witness!r}")
     pairs = [(i - 1, j - 1) for i, j in relation]
-    return poset_from_relation(n, pairs, Permutation(tuple(witness)) if witness else None)
+    return poset_from_relation(n, pairs, None if witness is None else Permutation(tuple(witness)))
 
 
 def chain_poset(n: int) -> Poset:
@@ -213,99 +213,80 @@ def reverse_order(P: Poset) -> Poset:
 
 
 def level_of_each(P: Poset) -> list[int]:
-    """level[i] = size of the longest chain whose maximum is i (1-based levels)."""
-    order = sorted(range(P.n), key=lambda i: P.below[i].bit_count())
-    level = [1] * P.n
-    for i in order:
-        best = 0
-        for j in iter_bits(P.below[i]):
-            if level[j] > best:
-                best = level[j]
-        level[i] = best + 1
-    return level
+    """level[i] = size of the longest chain whose maximum is i (1-based levels).
+
+    Computed once per poset and cached; callers must not mutate the list.
+    """
+    key = "levels"
+    if key not in P._cache:
+        order = sorted(range(P.n), key=lambda i: P.below[i].bit_count())
+        level = [1] * P.n
+        for i in order:
+            best = 0
+            for j in iter_bits(P.below[i]):
+                if level[j] > best:
+                    best = level[j]
+            level[i] = best + 1
+        P._cache[key] = level
+    return P._cache[key]
 
 
 def height(P: Poset) -> int:
-    if P.n == 0:
-        return 0
     key = "height"
     if key not in P._cache:
-        P._cache[key] = max(level_of_each(P))
+        P._cache[key] = max(level_of_each(P), default=0)
     return P._cache[key]
 
 
 def width(P: Poset) -> int:
-    """Largest antichain, via a minimum chain cover (n minus a maximum matching).
+    """Largest antichain.
 
-    With a witness present the dual route is computed too and the two must
-    agree; a mismatch would mean a defect, so it raises AssertionError.
+    With a witness, the antichains of P are the chains of dual(P), so this
+    is height(dual(P)).  Without one, it is the size of a minimum chain
+    cover (Dilworth): n minus a maximum matching from each element to the
+    elements above it.
     """
-    if P.n == 0:
-        return 0
     key = "width"
     if key not in P._cache:
-        adjacency = {i: list(iter_bits(P.above[i])) for i in range(P.n)}
-        w = P.n - len(max_bipartite_matching_pairs(adjacency))
         if P.witness is not None:
-            w_dual = height(dual(P))
-            if w != w_dual:
-                raise AssertionError(f"width mismatch: matching {w} vs dual height {w_dual}")
-        P._cache[key] = w
+            P._cache[key] = height(dual(P))
+        else:
+            adjacency = {i: list(iter_bits(P.above[i])) for i in range(P.n)}
+            P._cache[key] = P.n - len(max_bipartite_matching_pairs(adjacency))
     return P._cache[key]
 
 
 def max_bipartite_matching_pairs(adjacency: dict[int, list[int]]) -> dict[int, int]:
-    """Hopcroft-Karp maximum matching as a left -> right map (deterministic)."""
-    import sys
+    """Maximum matching as a left -> right map (deterministic).
 
-    limit = 4 * (len(adjacency) + 1) + 100
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
-    INF = float("inf")
-    left = sorted(adjacency)
+    One augmenting-path search per left vertex, in ascending order: a
+    depth-first search over alternating paths on an explicit stack, which
+    tries each right vertex at most once.
+    """
     match_l: dict[int, int] = {}
     match_r: dict[int, int] = {}
-    dist: dict[int, float] = {}
-
-    def bfs() -> bool:
-        queue = []
-        for u in left:
-            if u not in match_l:
-                dist[u] = 0
-                queue.append(u)
+    for root in sorted(adjacency):
+        stack = [(root, iter(adjacency[root]))]  # left vertices of the path, untried neighbours
+        rights: list[int] = []  # rights[t] is adjacent to stack[t], matched to stack[t + 1]
+        seen: set[int] = set()
+        while stack:
+            for v in stack[-1][1]:
+                if v not in seen:
+                    break
             else:
-                dist[u] = INF
-        found = False
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in adjacency[u]:
-                w = match_r.get(v)
-                if w is None:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def dfs(u: int) -> bool:
-        for v in adjacency[u]:
+                stack.pop()
+                if rights:
+                    rights.pop()
+                continue
+            seen.add(v)
+            rights.append(v)
             w = match_r.get(v)
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
-        return False
-
-    while bfs():
-        for u in left:
-            if u not in match_l:
-                dfs(u)
-    # dfs reaches itself through its closure; dropping the name breaks that
-    # cycle, so the adjacency is freed on return, not at the next collection.
-    del dfs
+            if w is None:
+                for (u, _), x in zip(stack, rights):
+                    match_l[u] = x
+                    match_r[x] = u
+                break
+            stack.append((w, iter(adjacency[w])))
     return match_l
 
 
@@ -384,13 +365,14 @@ def _antichains_among(candidates: int, related: Sequence[int], need: int, budget
     """
     budget = budgets.antichain_node_budget
     nodes = 0
-
-    def rec(cand: int, need: int) -> int:
-        nonlocal nodes
-        if need == 1:
-            return cand.bit_count()
-        total = 0
-        while cand.bit_count() >= need:
+    total = 0
+    stack = [(candidates, need)]
+    while stack:
+        cand, left = stack.pop()
+        if left == 1:
+            total += cand.bit_count()
+            continue
+        while cand.bit_count() >= left:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(
@@ -398,10 +380,8 @@ def _antichains_among(candidates: int, related: Sequence[int], need: int, budget
                 )
             i = cand.bit_length() - 1
             cand ^= 1 << i
-            total += rec(cand & ~related[i], need - 1)
-        return total
-
-    return rec(candidates, need)
+            stack.append((cand & ~related[i], left - 1))
+    return total
 
 
 def h_k(P: Poset, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> int:

@@ -151,7 +151,13 @@ class TestPoset:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"n":2,"relation":[[1]]}', '{"n":"3"}', '{"n":3,"relation":[],"witness":5}', "{n: 3"],
+        [
+            '{"n":2,"relation":[[1]]}',
+            '{"n":"3"}',
+            '{"n":3,"relation":[],"witness":5}',
+            "{n: 3",
+            '{"n":3,"relation":[[1,2]],"witness":[]}',
+        ],
     )
     def test_malformed_json_is_validation_error(self, text):
         code, _ = run_cli(["poset", "hk", "--k", "2"], stdin_text=text)

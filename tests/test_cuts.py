@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations, permutations as iter_permutations
 
 import pytest
@@ -16,10 +17,11 @@ from monoseq.posets import (
     disjoint_chains_poset,
     height,
     poset_from_perm,
+    poset_from_relation,
     width,
 )
 
-from conftest import permutations_st
+from conftest import permutations_st, random_dag
 
 
 def brute_min_hitting_set(P):
@@ -68,12 +70,25 @@ class TestMinHeightReducingSet:
         P = chain_poset(4)
         assert min_height_reducing_set(P) == min_height_reducing_set(P) == [0]
 
-    @given(permutations_st(min_n=2, max_n=12))
+    @given(permutations_st(min_n=2, max_n=12), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
-    def test_matches_brute_force_minimum(self, p):
-        P = poset_from_perm(p)
-        cut = min_height_reducing_set(P)
-        assert len(cut) == brute_min_hitting_set(P)
+    def test_matches_brute_force_minimum(self, p, rng):
+        # A permutation poset and a witness-free order that need not have dimension 2.
+        for P in (poset_from_perm(p), random_dag(rng, rng.randint(2, 9))):
+            cut = min_height_reducing_set(P)
+            assert len(cut) == brute_min_hitting_set(P), P.relation_pairs()
+
+    def test_witness_free_cuts_are_pinned(self):
+        # Without augmenting along reverse residual edges the flow falls short
+        # on some trial deletion here, and the greedy extraction fails.
+        P = poset_from_relation(6, [(0, 3), (1, 3), (1, 4), (2, 3)])
+        assert min_height_reducing_set(P) == [1, 3]
+        Q = poset_from_relation(8, [(0, 2), (0, 3), (0, 4), (0, 7), (1, 2), (1, 4), (2, 4), (3, 7)])
+        assert min_height_reducing_set(Q) == [0, 1]
+
+    def test_leaves_recursion_limit(self, default_recursion_limit):
+        min_height_reducing_set(chain_poset(600))
+        assert sys.getrecursionlimit() == default_recursion_limit
 
     @given(permutations_st(min_n=2, max_n=12))
     @settings(max_examples=60, deadline=None)
@@ -102,8 +117,6 @@ class TestPrune:
         assert result.rounds == []
 
     def test_requires_witness(self):
-        from monoseq.posets import poset_from_relation
-
         with pytest.raises(ValidationError):
             prune(poset_from_relation(3, [(0, 1)]), 2, 1)
 

@@ -20,7 +20,7 @@ from monoseq.posets import (
     poset_from_relation,
 )
 
-from conftest import permutations_st
+from conftest import permutations_st, random_dag
 
 
 class TestDecompose:
@@ -164,6 +164,22 @@ class TestDisjointChainCover:
             disjoint_chain_cover(chain_poset(3), 2, 1)
         with pytest.raises(ValidationError):
             disjoint_chain_cover(chain_poset(3), 1, 7)
+
+    @given(permutations_st(max_n=12), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_chains_are_disjoint_and_climb_the_live_levels(self, p, rng):
+        for P in (poset_from_perm(p), random_dag(rng, rng.randint(1, 12))):
+            dec = decompose(P)
+            for i in range(1, dec.h + 1):
+                for j in range(i, dec.h + 1):
+                    res = disjoint_chain_cover(P, i, j)
+                    assert res.d == res.k - len(res.chains)
+                    used = [x for chain in res.chains for x in chain]
+                    assert len(used) == len(set(used))
+                    for chain in res.chains:
+                        assert len(chain) == j - i + 1
+                        assert all(x in dec.a_prime[i - 1 + t] for t, x in enumerate(chain))
+                        assert all(P.less(x, y) for x, y in zip(chain, chain[1:]))
 
     @given(st.integers(min_value=2, max_value=4), st.integers(min_value=2, max_value=5))
     @settings(max_examples=20)

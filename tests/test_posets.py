@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -28,7 +29,7 @@ from monoseq.posets import (
 )
 from monoseq.decomposition import decompose
 
-from conftest import permutations_st
+from conftest import permutations_st, random_dag
 
 
 def witness_free(P):
@@ -151,9 +152,20 @@ class TestHeightWidth:
     @given(permutations_st(max_n=14))
     @settings(max_examples=60)
     def test_matching_width_equals_dual_height(self, p):
-        # The equality is asserted inside width(); this exercises it broadly.
+        # With a witness width is the dual's height; the copy takes the matching.
         P = poset_from_perm(p)
-        assert width(P) == height(dual(P))
+        assert width(P) == width(witness_free(P))
+
+    def test_matching_width_is_largest_antichain(self):
+        rng = random.Random(20240812)
+        for _ in range(60):
+            P = random_dag(rng, rng.randint(0, 12))
+            sizes = [m for m in range(1, P.n + 1) if count_antichains_of_size(P, m) > 0]
+            assert width(P) == max(sizes, default=0), P.relation_pairs()
+
+    def test_width_leaves_recursion_limit(self, default_recursion_limit):
+        width(witness_free(chain_poset(600)))
+        assert sys.getrecursionlimit() == default_recursion_limit
 
     @given(permutations_st(max_n=14))
     @settings(max_examples=40)
@@ -212,11 +224,8 @@ class TestAntichainCounting:
         # counted against every m-subset checked pair by pair.
         rng = random.Random(20240811)
         for _ in range(40):
-            n = rng.randint(0, 10)
-            p = rng.random()
-            P = poset_from_relation(
-                n, [(i, j) for i, j in combinations(range(n), 2) if rng.random() < p]
-            )
+            P = random_dag(rng, rng.randint(0, 10))
+            n = P.n
             for m in range(1, n + 2):
                 expected = sum(
                     1

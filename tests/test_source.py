@@ -13,3 +13,13 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_no_recursion_limit_changes():
+    # The recursion limit is process-wide, so src/ keeps its searches iterative.
+    found = [
+        path.name
+        for path in sorted(Path(monoseq.__file__).parent.glob("*.py"))
+        if "setrecursionlimit" in path.read_text()
+    ]
+    assert not found, found
