@@ -16,7 +16,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .config import DEFAULT_BUDGETS, Budgets
@@ -60,26 +59,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    flags: dict
-    output_format: str
-    seed: int
-    workers: int
-    budgets: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "flags": self.flags,
-            "output_format": self.output_format,
-            "seed": self.seed,
-            "workers": self.workers,
-            "budgets": self.budgets,
-        }
-
-
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
@@ -100,7 +79,7 @@ def _resolve_runtime(args) -> tuple[int, Budgets]:
     return workers, DEFAULT_BUDGETS.with_overrides(search_state_budget=budget)
 
 
-def _config(args) -> RunConfig:
+def _config(args) -> dict:
     """The run configuration as resolved from flags, environment and defaults."""
     workers, budgets = _resolve_runtime(args)
     flags = {
@@ -108,14 +87,14 @@ def _config(args) -> RunConfig:
         for key, value in sorted(vars(args).items())
         if key not in {"func", "workers"} and value is not None and not callable(value)
     }
-    return RunConfig(
-        subcommand=args.subcommand,
-        flags={k: (list(v) if isinstance(v, tuple) else v) for k, v in flags.items()},
-        output_format=getattr(args, "format", "json"),
-        seed=getattr(args, "seed", 0) or 0,
-        workers=workers,
-        budgets={"search_state_budget": budgets.search_state_budget},
-    )
+    return {
+        "subcommand": args.subcommand,
+        "flags": {k: (list(v) if isinstance(v, tuple) else v) for k, v in flags.items()},
+        "output_format": getattr(args, "format", "json"),
+        "seed": getattr(args, "seed", 0) or 0,
+        "workers": workers,
+        "budgets": {"search_state_budget": budgets.search_state_budget},
+    }
 
 
 def _write(text: str, path: Optional[str]) -> None:
@@ -196,7 +175,7 @@ def _cmd_count(args) -> int:
         )
     if args.profile:
         payload["profile"] = length_profile(p, args.profile).to_json_dict()
-    payload["config"] = _config(args).to_json_dict()
+    payload["config"] = _config(args)
     _emit(payload, args)
     return EXIT_OK
 
@@ -210,7 +189,7 @@ def _cmd_construct(args) -> int:
         p = build_sigma_extremal(args.k, args.variant)
     if args.json:
         payload = p.to_json_dict()
-        payload["config"] = _config(args).to_json_dict()
+        payload["config"] = _config(args)
         _emit(payload, args)
     else:
         _write(p.to_line() + "\n", args.out)
@@ -231,7 +210,7 @@ def _cmd_formula(args) -> int:
     if args.n >= args.k + 1:
         frac = mu(args.k, args.n, payload["m_tau"])
         payload["mu"] = {"numerator": frac.numerator, "denominator": frac.denominator}
-    payload["config"] = _config(args).to_json_dict()
+    payload["config"] = _config(args)
     _emit(payload, args)
     return EXIT_OK
 
@@ -283,7 +262,7 @@ def _cmd_poset(args) -> int:
         if not args.k:
             raise ValidationError("poset verify-example requires --k")
         payload["report"] = verify_example_structure(P, args.k).to_json_dict()
-    payload["config"] = _config(args).to_json_dict()
+    payload["config"] = _config(args)
     _emit(payload, args)
     return EXIT_OK
 
@@ -318,7 +297,7 @@ def _cmd_lemma(args) -> int:
         P = poset_from_json(data["poset"])
         report = surplus_conclusion_check(P, data["k"], data["t"])
         payload = {"report": report.to_json_dict()}
-    payload["config"] = _config(args).to_json_dict()
+    payload["config"] = _config(args)
     _emit(payload, args)
     return EXIT_OK
 
@@ -331,12 +310,12 @@ def _cmd_search(args) -> int:
         payload["formula"] = str(m_tau_formula(args.k, args.n))
         payload["match"] = result.minimum == m_tau_formula(args.k, args.n)
     elif args.mode == "heuristic":
-        result = heuristic_min(args.n, args.k, trials=args.trials, seed=args.seed, budgets=budgets)
+        result = heuristic_min(args.n, args.k, trials=args.trials, seed=args.seed)
         payload = result.to_json_dict()
     else:  # posets
         result = min_hk_over_posets(args.n, args.k, budgets)
         payload = result.to_json_dict()
-    payload["config"] = _config(args).to_json_dict()
+    payload["config"] = _config(args)
 
     if args.format == "csv" and args.mode == "exhaustive":
         buf = io.StringIO()

@@ -176,7 +176,7 @@ def prune(P: Poset, k: int, t: int) -> PruneResult:
         if len(cut) <= t:
             removed = tuple(cut)
             current = current.delete(cut)
-        if current.n > 0 and height(current) < width(current):
+        if height(current) < width(current):
             current = dual(current)
             flipped = True
         if removed is None and not flipped:
@@ -186,8 +186,8 @@ def prune(P: Poset, k: int, t: int) -> PruneResult:
                 removed=removed,
                 flipped=flipped,
                 size_after=current.n,
-                height_after=height(current) if current.n else 0,
-                width_after=width(current) if current.n else 0,
+                height_after=height(current),
+                width_after=width(current),
             )
         )
     return PruneResult(poset=current, rounds=rounds)

@@ -79,45 +79,28 @@ def _decompose(P: Poset) -> Decomposition:
         levels[level[x] - 1].append(x)
 
     hasse: list[list[tuple[int, int]]] = []
-    up_adj: list[dict[int, list[int]]] = []
-    down_deg = [0] * n
     for i in range(h - 1):
-        edges = []
-        adj: dict[int, list[int]] = {}
-        upper = set(levels[i + 1])
-        for x in levels[i]:
-            nbrs = [y for y in iter_bits(P.above[x]) if y in upper]
-            adj[x] = nbrs
-            for y in nbrs:
-                edges.append((x, y))
-                down_deg[y] += 1
-        hasse.append(edges)
-        up_adj.append(adj)
+        upper = sum(1 << y for y in levels[i + 1])
+        hasse.append([(x, y) for x in levels[i] for y in iter_bits(P.above[x] & upper)])
 
+    # Walking the graphs from the top, u[y] is final before any edge reads it.
     u = [0] * n
-    for x in levels[h - 1] if h else []:
+    for x in levels[-1] if h else []:
         u[x] = 1
-    for i in range(h - 2, -1, -1):
-        for x in levels[i]:
-            u[x] = sum(u[y] for y in up_adj[i][x])
+    down_deg = [0] * n
+    live_up = [0] * n  # up-neighbours with u >= 1
+    for edges in reversed(hasse):
+        for x, y in edges:
+            u[x] += u[y]
+            live_up[x] += u[y] >= 1
+            down_deg[y] += 1
     sigma = [sum(u[x] for x in lvl) for lvl in levels]
 
     a_prime = [[x for x in lvl if u[x] >= 1] for lvl in levels]
     a_double_prime = [[x for x in lvl if u[x] >= 2] for lvl in levels]
-
-    b: list[list[int]] = [[]]
-    d: list[list[int]] = [[]]
-    for i in range(h - 1):
-        prime_upper = [y for y in levels[i + 1] if u[y] >= 1]
-        b.append([y for y in prime_upper if down_deg[y] == 1])
-        d.append([y for y in prime_upper if down_deg[y] == 2])
-
-    c: list[list[int]] = []
-    for i in range(h - 1):
-        prime_upper = {y for y in levels[i + 1] if u[y] >= 1}
-        c.append(
-            [x for x in a_prime[i] if sum(1 for y in up_adj[i][x] if y in prime_upper) <= 1]
-        )
+    b = [[]] + [[y for y in lvl if down_deg[y] == 1] for lvl in a_prime[1:]]
+    d = [[]] + [[y for y in lvl if down_deg[y] == 2] for lvl in a_prime[1:]]
+    c = [[x for x in lvl if live_up[x] <= 1] for lvl in a_prime[:-1]]
     if h:
         c.append([])
 
@@ -327,7 +310,7 @@ def verify_example_structure(P: Poset, k: int) -> ExampleStructureReport:
     clauses.append(ClauseResult("comparability-shape", case is not None, shape_detail))
 
     if case == "ii":
-        clauses.append(_case_two_order_clause(P, k, a1, a2, path_nodes, edge_nodes))
+        clauses.append(_case_two_order_clause(P, rest, a1, path_nodes, edge_nodes))
 
     if case is not None:
         chains = count_chains_of_size(P, k + 1)
@@ -392,18 +375,19 @@ def _bottom_two_level_shape(P: Poset, a1: list[int], a2: list[int], k: int):
 
 
 def _case_two_order_clause(
-    P: Poset, k: int, a1: list[int], a2: list[int], path_nodes: list[int], edge_nodes: list[int]
+    P: Poset, rest: Poset, a1: list[int], path_nodes: list[int], edge_nodes: list[int]
 ) -> ClauseResult:
-    stray = [y for y in edge_nodes if y in set(a2)]
+    """The case-ii ordering clause; rest is P with A_1 deleted."""
+    # The edge lies on the bottom two levels, so its A_2 elements are those outside A_1.
+    stray = [y for y in edge_nodes if y not in set(a1)]
     if len(stray) != 1:
         return ClauseResult(
             "path-chain-order", False, f"stray edge holds {len(stray)} second-level elements"
         )
     z = stray[0]
-    rest = sorted(set(range(P.n)) - set(a1))
-    sub = P.induced(rest)
-    sd = decompose(sub)
-    z_sub = rest.index(z)
+    ids = sorted(set(range(P.n)) - set(a1))  # ids[e] is element e of rest in P
+    sd = decompose(rest)
+    z_sub = ids.index(z)
     # Maximum chains of the rest start on its first level, and u counts
     # the maximum-chain tails from each element.
     starting = sd.u[z_sub] if z_sub in sd.levels[0] else 0
@@ -412,7 +396,7 @@ def _case_two_order_clause(
             "path-chain-order", False, f"{starting} maximum chains start at the stray element"
         )
     # That chain goes on through the one up-neighbor that has a tail.
-    second = rest[next(y for x, y in sd.hasse[0] if x == z_sub and sd.u[y] >= 1)]
+    second = ids[next(y for x, y in sd.hasse[0] if x == z_sub and sd.u[y] >= 1)]
     path_a1 = [x for x in path_nodes if x in set(a1)]
     ok = any(P.less(a, second) for a in path_a1)
     return ClauseResult(

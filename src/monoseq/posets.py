@@ -9,8 +9,11 @@ A witness is a permutation realizing the poset: element i is below j
 exactly when i < j as positions and witness(i) < witness(j) as values.
 Chains then correspond to increasing subsequences and antichains to
 decreasing ones, length-preservingly, so a poset with a witness has its
-chains and antichains counted by the ``monoseq.counting`` kernel.  The dual
-order (swap the two roles) exists exactly in this dimension-2 case.
+chains and antichains counted by the ``monoseq.counting`` kernel, and its
+levels, height and width read off the witness by patience sorting (the
+longest increasing and decreasing subsequences), with no second poset
+built.  The dual order (swap the two roles) exists exactly in this
+dimension-2 case.
 
 Without a witness, chains are counted by a predecessor DP and antichains
 by a bitmask backtracking count, ``_antichains_among``, which the poset
@@ -22,6 +25,7 @@ one partial antichain still short of at least one element.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -215,41 +219,63 @@ def reverse_order(P: Poset) -> Poset:
 def level_of_each(P: Poset) -> list[int]:
     """level[i] = size of the longest chain whose maximum is i (1-based levels).
 
-    Computed once per poset and cached; callers must not mutate the list.
+    With a witness this is the longest increasing subsequence of the witness
+    ending at position i; without one, a sweep over each element's
+    predecessors.  Computed once per poset and cached; callers must not
+    mutate the list.
     """
     key = "levels"
     if key not in P._cache:
-        order = sorted(range(P.n), key=lambda i: P.below[i].bit_count())
-        level = [1] * P.n
-        for i in order:
-            best = 0
-            for j in iter_bits(P.below[i]):
-                if level[j] > best:
-                    best = level[j]
-            level[i] = best + 1
-        P._cache[key] = level
+        if P.witness is not None:
+            P._cache[key] = _patience_levels(P.witness.values)
+        else:
+            order = sorted(range(P.n), key=lambda i: P.below[i].bit_count())
+            level = [1] * P.n
+            for i in order:
+                best = 0
+                for j in iter_bits(P.below[i]):
+                    if level[j] > best:
+                        best = level[j]
+                level[i] = best + 1
+            P._cache[key] = level
     return P._cache[key]
+
+
+def _patience_levels(values: Sequence[int]) -> list[int]:
+    """Per position, the length of the longest increasing subsequence ending there.
+
+    Patience sorting: tops[t] is the least value that ends an increasing
+    subsequence of length t + 1 so far, so tops ascends, and a value's
+    length is one more than the number of tops below it.
+    """
+    tops: list[int] = []
+    levels = []
+    for v in values:
+        t = bisect_left(tops, v)
+        if t == len(tops):
+            tops.append(v)
+        else:
+            tops[t] = v
+        levels.append(t + 1)
+    return levels
 
 
 def height(P: Poset) -> int:
-    key = "height"
-    if key not in P._cache:
-        P._cache[key] = max(level_of_each(P), default=0)
-    return P._cache[key]
+    return max(level_of_each(P), default=0)
 
 
 def width(P: Poset) -> int:
     """Largest antichain.
 
-    With a witness, the antichains of P are the chains of dual(P), so this
-    is height(dual(P)).  Without one, it is the size of a minimum chain
-    cover (Dilworth): n minus a maximum matching from each element to the
-    elements above it.
+    With a witness, the antichains of P are the decreasing subsequences of
+    the witness, so this is their longest length.  Without one, it is the
+    size of a minimum chain cover (Dilworth): n minus a maximum matching
+    from each element to the elements above it.
     """
     key = "width"
     if key not in P._cache:
         if P.witness is not None:
-            P._cache[key] = height(dual(P))
+            P._cache[key] = max(_patience_levels(P.witness.values[::-1]), default=0)
         else:
             adjacency = {i: list(iter_bits(P.above[i])) for i in range(P.n)}
             P._cache[key] = P.n - len(max_bipartite_matching_pairs(adjacency))

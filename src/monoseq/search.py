@@ -318,7 +318,6 @@ def heuristic_min(
     trials: int = 100,
     seed: int = 0,
     max_steps: int = 200,
-    budgets: Budgets = DEFAULT_BUDGETS,
 ) -> SearchResult:
     """Upper bound from seeded restarts plus adjacent-swap hill climbing.
 
@@ -416,8 +415,11 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
     are the k-chains in D_i plus the k-antichains outside D_i, which is
     what placing j below D_i adds, so at least a.  These sets have top id
     i, so the terms are disjoint, and a child is cut when count + added +
-    (n-j-1)*a reaches the incumbent.  At k = 1 nothing is gained: every
-    pair is a chain or an antichain, so every order has h_1 = C(n,2).
+    (n-j-1)*a reaches the incumbent.
+
+    At k = 1 every pair is a chain or an antichain, so every order has
+    h_1 = C(n,2) and no order is enumerated: the witness is the antichain,
+    the first order in DFS order, and posets_visited is 0.
     """
     if n < 1 or k < 1:
         raise ValidationError("n and k must be positive")
@@ -473,7 +475,10 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
                 grown = downsets + [d | bit for d in downsets if d & mask == mask]
                 rec(j + 1, count + added, grown)
 
-    rec(0, 0, [0])
+    if k == 1:
+        best, best_below = n * (n - 1) // 2, [0] * n
+    else:
+        rec(0, 0, [0])
     if best_below is None:
         raise AssertionError("no enumerated order reached the m_tau_formula seed")
 

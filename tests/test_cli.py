@@ -239,6 +239,13 @@ class TestSearch:
         code, _ = run_cli(["--budget", "10", "search", "exhaustive", "--n", "8", "--k", "2"])
         assert code == EXIT_BUDGET
 
+    def test_posets_k1_at_the_size_cap(self):
+        code, out = run_cli(["search", "posets", "--n", "9", "--k", "1"])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["minimum"] == "36" and payload["witness_relation"] == []
+        assert payload["posets_visited"] == 0
+
     def test_posets_size_cap_exit_code(self):
         code, _ = run_cli(["search", "posets", "--n", "10", "--k", "2"])
         assert code == EXIT_BUDGET

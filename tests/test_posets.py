@@ -20,6 +20,7 @@ from monoseq.posets import (
     dual,
     h_k,
     height,
+    level_of_each,
     poset_from_json,
     poset_from_perm,
     poset_from_relation,
@@ -29,7 +30,7 @@ from monoseq.posets import (
 )
 from monoseq.decomposition import decompose
 
-from conftest import permutations_st, random_dag
+from conftest import permutations_st, random_dag, random_permutation
 
 
 def witness_free(P):
@@ -152,9 +153,12 @@ class TestHeightWidth:
     @given(permutations_st(max_n=14))
     @settings(max_examples=60)
     def test_matching_width_equals_dual_height(self, p):
-        # With a witness width is the dual's height; the copy takes the matching.
+        # With a witness, levels, height and width come from patience sorting
+        # on it; the witness-free copy takes the sweep and the matching.
         P = poset_from_perm(p)
         assert width(P) == width(witness_free(P))
+        assert level_of_each(P) == level_of_each(witness_free(P))
+        assert height(P) == height(witness_free(P))
 
     def test_matching_width_is_largest_antichain(self):
         rng = random.Random(20240812)
@@ -166,6 +170,22 @@ class TestHeightWidth:
     def test_width_leaves_recursion_limit(self, default_recursion_limit):
         width(witness_free(chain_poset(600)))
         assert sys.getrecursionlimit() == default_recursion_limit
+
+    def test_witness_levels_at_the_ends(self):
+        for P in (poset_from_perm(random_permutation(random.Random(300), 300)), chain_poset(1)):
+            assert level_of_each(P) == level_of_each(witness_free(P))
+            assert (height(P), width(P)) == (height(witness_free(P)), width(witness_free(P)))
+
+    def test_witness_queries_build_no_other_poset(self, monkeypatch):
+        P = poset_from_perm(build_sigma_extremal(4, 2))
+
+        def refuse(p):
+            raise AssertionError("a query built a second poset")
+
+        monkeypatch.setattr("monoseq.posets.poset_from_perm", refuse)
+        assert (height(P), width(P)) == (5, 5)
+        assert max(level_of_each(P)) == 5
+        assert decompose(P).h == 5
 
     @given(permutations_st(max_n=14))
     @settings(max_examples=40)

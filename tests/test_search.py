@@ -200,7 +200,8 @@ class TestMinHkOverPosets:
     def test_reduction_free_sweep_of_small_orders(self):
         # Every strict order on 0..n-1 that the identity labeling extends,
         # found by testing each set of pairs (i, j), i < j, for transitivity,
-        # and h_k counted on each one from scratch.
+        # and h_k counted on each one from scratch.  This checks the closed
+        # form at k = 1 as well as the enumeration at k = 2, 3.
         for n in range(1, 7):
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
             orders = []
@@ -242,6 +243,13 @@ class TestMinHkOverPosets:
     def test_size_cap(self):
         with pytest.raises(BudgetExceededError):
             min_hk_over_posets(10, 2)
+
+    def test_k1_in_closed_form(self):
+        # Every order has h_1 = C(n,2); the antichain is reported without enumerating.
+        result = min_hk_over_posets(9, 1)
+        assert (result.minimum, result.permutation_minimum) == (36, 36)
+        assert result.witness_relation == []
+        assert result.posets_visited == 0
 
 
 class TestDensity:
