@@ -13,9 +13,8 @@ from dataclasses import dataclass, replace
 class Budgets:
     # Largest number of subsets a brute-force subsequence count may visit.
     subset_budget: int = 2_000_000
-    # Largest number of backtracking nodes one antichain count may visit:
-    # a count on a witness-free poset, or the count made while placing an
-    # element in the poset enumerator (under 2^8 nodes at its n <= 9).
+    # Largest number of backtracking nodes one antichain count on a
+    # witness-free poset may visit.
     antichain_node_budget: int = 5_000_000
     # Largest n accepted by the exhaustive permutation search.
     exhaustive_max_n: int = 11

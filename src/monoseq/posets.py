@@ -16,10 +16,9 @@ built.  The dual order (swap the two roles) exists exactly in this
 dimension-2 case.
 
 Without a witness, chains are counted by a predecessor DP and antichains
-by a bitmask backtracking count, ``_antichains_among``, which the poset
-enumerator in ``monoseq.search`` shares.  It counts the last element of
-each antichain by popcount, so one node of ``antichain_node_budget`` is
-one partial antichain still short of at least one element.
+by a bitmask backtracking count.  It counts the last element of each
+antichain by popcount, so one node of ``antichain_node_budget`` is one
+partial antichain still short of at least one element.
 """
 
 from __future__ import annotations
@@ -376,23 +375,13 @@ def count_antichains_of_size(P: Poset, m: int, budgets: Budgets = DEFAULT_BUDGET
     if P.witness is not None:
         return count_increasing_exact(P.witness.reverse(), m)
     related = [P.above[i] | P.below[i] for i in range(P.n)]
-    return _antichains_among((1 << P.n) - 1, related, m, budgets)
-
-
-def _antichains_among(candidates: int, related: Sequence[int], need: int, budgets: Budgets) -> int:
-    """Number of need-sets of ids in the candidates mask with no two related.
-
-    related[i] must hold every smaller id related to i (larger ones may be
-    there too).  Sets are built from the highest id down: choosing i leaves
-    the smaller candidates not related to i.  A branch stops as soon as
-    fewer candidates are left than ids are needed, and the last id is not
-    chosen but counted, as the number of candidates left.  Every other
-    choice is one node against antichain_node_budget.
-    """
+    # Sets are built from the highest id down: choosing i leaves the smaller
+    # candidates not related to i.  A branch stops as soon as fewer
+    # candidates are left than ids are needed.
     budget = budgets.antichain_node_budget
     nodes = 0
     total = 0
-    stack = [(candidates, need)]
+    stack = [((1 << P.n) - 1, m)]
     while stack:
         cand, left = stack.pop()
         if left == 1:

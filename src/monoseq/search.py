@@ -20,15 +20,25 @@ which keeps results and visit counts bit-reproducible for a fixed
 The poset enumerator places ids along a linear extension and counts each
 homogenous (k+1)-set at its top id.  Its incumbent starts at
 m_tau_formula(k, n) + 1 with a strict cut, because the poset of
-build_tau(k, n) reaches m_tau_formula.  At depth j it places j below every
+build_tau(k, n) reaches m_tau_formula.  At depth j it places j above every
 closed down-set D of the prefix before recursing, and lets a be the least
 count added.  Each later id i adds at least a: restricted to the prefix, its
 down-set is a closed down-set D_i, and its sets whose other members all lie
 in the prefix are the k-chains in D_i plus the k-antichains outside D_i,
-which is what placing j below D_i adds.  Sets are counted by their top id,
+which is what placing j above D_i adds.  Sets are counted by their top id,
 so these terms are disjoint, and a child is cut when count + added +
 (n-j-1)*a reaches the incumbent.  At k = 1 this gains nothing, because every
 order has h_1 = C(n,2).
+
+Each closed down-set D of the prefix carries C_D[t], the t-chains inside
+D, and A_D[s], the s-antichains of the prefix outside D (C_D[0] = A_D[0] =
+1), so placing j above D adds C_D[k] + A_D[k], read off directly.  Once j
+goes above the closed down-set M, the ids below j incomparable with j are
+those outside M, and each vector of the child follows in O(k):
+A'_D[s] = A_D[s] + A_{D|M}[s-1] for a down-set D without j, where D | M is
+closed as a union of closed down-sets and so already carries its vectors,
+and C'_{D|{j}}[t] = C_D[t] + C_M[t-1] for D containing M, which keeps A_D.
+No count backtracks.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from .config import DEFAULT_BUDGETS, Budgets
 from .counting import brute_force_count, count_monotone
 from .errors import BudgetExceededError, ValidationError
 from .perms import Permutation, build_tau, canonical_form, m_tau_formula
-from .posets import _antichains_among, poset_from_relation
+from .posets import poset_from_relation
 
 
 @dataclass(frozen=True)
@@ -372,6 +382,33 @@ def heuristic_min(
     )
 
 
+# A closed down-set D of the ids < j, as a bitmask, mapped to (C_D, A_D):
+# C_D[t] counts the t-chains inside D and A_D[s] the s-antichains among ids
+# < j outside D, for t, s = 0..k, with C_D[0] = A_D[0] = 1.
+_DownSets = dict[int, tuple[list[int], list[int]]]
+
+
+def _grow(downsets: _DownSets, mask: int, j: int) -> _DownSets:
+    """The down-set map of ids <= j once j goes above the ids in mask.
+
+    downsets is the map of ids < j with its keys ascending, and mask is one
+    of them.  A key D keeps C_D and gets A'_D[s] = A_D[s] + A_{D|mask}[s-1];
+    each key D containing mask adds D | {j}, which keeps A_D and gets
+    C'[t] = C_D[t] + C_mask[t-1].  min_hk_over_posets shows why these hold.
+    Bit j is above every key, so the keys stay ascending.
+    """
+    child = {}
+    for d, (chains, antichains) in downsets.items():
+        joined = downsets[d | mask][1]
+        child[d] = (chains, [1] + [a + b for a, b in zip(antichains[1:], joined)])
+    under = downsets[mask][0]
+    bit = 1 << j
+    for d, (chains, antichains) in downsets.items():
+        if d & mask == mask:
+            child[d | bit] = ([1] + [c + b for c, b in zip(chains[1:], under)], antichains)
+    return child
+
+
 @dataclass(frozen=True)
 class PosetSearchResult:
     n: int
@@ -413,9 +450,22 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
     later id i, restricted to the ids below j, has a closed down-set D_i of
     the prefix; its (k+1)-sets whose other members all lie in the prefix
     are the k-chains in D_i plus the k-antichains outside D_i, which is
-    what placing j below D_i adds, so at least a.  These sets have top id
+    what placing j above D_i adds, so at least a.  These sets have top id
     i, so the terms are disjoint, and a child is cut when count + added +
     (n-j-1)*a reaches the incumbent.
+
+    Counts: each closed down-set D of the prefix carries C_D[t], the
+    t-chains inside D, and A_D[s], the s-antichains of the prefix outside
+    D, so the count placing j above D adds is C_D[k] + A_D[k].  When j goes
+    above M, the ids below j incomparable with j are exactly those outside
+    M, as ids follow a linear extension.  A down-set D without j keeps C_D
+    and gets A'_D[s] = A_D[s] + A_{D|M}[s-1] (the antichains that avoid j,
+    and j with an antichain outside both D and M); D | M is closed, since
+    an id below a member of D or of M lies in D or in M, so its vectors are
+    at hand.  D | {j} is closed exactly when D contains M; it keeps A_D and
+    gets C'[t] = C_D[t] + C_M[t-1] (the chains that avoid j, and j over a
+    chain inside M).  posets_visited counts one per (node, down-set)
+    placement, cut or not.
 
     At k = 1 every pair is a chain or an antichain, so every order has
     h_1 = C(n,2) and no order is enumerated: the witness is the antichain,
@@ -430,32 +480,13 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
             budget=budgets.poset_enum_max_n,
         )
     start = time.perf_counter()
-    m = k + 1
     below = [0] * n
-    # chain_counts[x][t]: chains of size t with maximum x, for the placed ids.
-    chain_counts: list[list[int]] = [[]] * n
     best = m_tau_formula(k, n) + 1
     best_below: Optional[list[int]] = None
     visited = 0
 
-    def place(j: int, mask: int) -> tuple[int, list[int]]:
-        """(sets with top id j, chain row of j) when j goes above the ids in mask."""
-        row = [0, 1] + [0] * (m - 1)
-        rest = mask
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            rest ^= low
-            other = chain_counts[i]
-            for t in range(2, m + 1):
-                row[t] += other[t - 1]
-        # Ids follow a linear extension, so the ids below j that are
-        # incomparable with j are the smaller ids outside mask, and below[i]
-        # holds every smaller id related to i.
-        return row[m] + _antichains_among(((1 << j) - 1) & ~mask, below, m - 1, budgets), row
-
-    def rec(j: int, count: int, downsets: list[int]) -> None:
-        """Enumerate ids j.. given downsets, the closed down-sets of ids < j in ascending order."""
+    def rec(j: int, count: int, downsets: _DownSets) -> None:
+        """Enumerate ids j.. given the closed down-sets of ids < j with their counts."""
         nonlocal best, best_below, visited
         if j == n:
             if count < best:
@@ -463,22 +494,18 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
                 best_below = list(below)
             return
         visited += len(downsets)
-        placed = [place(j, mask) for mask in downsets]
-        closing = (n - j - 1) * min(added for added, _ in placed)
-        bit = 1 << j
-        for mask, (added, row) in zip(downsets, placed):
+        # Placing j above D adds its k-chains in D and its k-antichains outside D.
+        placed = [chains[k] + antichains[k] for chains, antichains in downsets.values()]
+        closing = (n - j - 1) * min(placed)
+        for mask, added in zip(downsets, placed):
             if count + added + closing < best:
                 below[j] = mask
-                chain_counts[j] = row
-                # A down-set holds j only together with everything below j;
-                # bit j is the highest, so the list stays ascending.
-                grown = downsets + [d | bit for d in downsets if d & mask == mask]
-                rec(j + 1, count + added, grown)
+                rec(j + 1, count + added, _grow(downsets, mask, j))
 
     if k == 1:
         best, best_below = n * (n - 1) // 2, [0] * n
     else:
-        rec(0, 0, [0])
+        rec(0, 0, {0: ([1] + [0] * k, [1] + [0] * k)})
     if best_below is None:
         raise AssertionError("no enumerated order reached the m_tau_formula seed")
 

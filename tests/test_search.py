@@ -11,8 +11,15 @@ from monoseq.perms import (
     m_tau_formula,
     mu,
 )
-from monoseq.posets import h_k, poset_from_relation
+from monoseq.posets import (
+    count_antichains_of_size,
+    count_chains_of_size,
+    h_k,
+    iter_bits,
+    poset_from_relation,
+)
 from monoseq.search import (
+    _grow,
     exhaustive_min,
     heuristic_min,
     min_hk_over_posets,
@@ -220,6 +227,40 @@ class TestMinHkOverPosets:
                     n, [(i - 1, j - 1) for i, j in result.witness_relation]
                 )
                 assert h_k(witness, k) == result.minimum, (n, k)
+
+    def test_down_set_counts_follow_the_recurrence(self):
+        # Every order the enumerator reaches at n <= 6, grown one id at a time
+        # by _grow without any cut, once for each k = 2..4.  Each node's keys
+        # must be exactly the closed down-sets of its order, in ascending
+        # order, and each down-set's vectors must match counts made from
+        # scratch on the induced orders.
+        ks = (2, 3, 4)
+        sizes = range(1, max(ks) + 1)
+        stack = [([], [{0: ([1] + [0] * k, [1] + [0] * k)} for k in ks])]
+        while stack:
+            below, maps = stack.pop()
+            j = len(below)
+            P = poset_from_relation(j, [(i, x) for x in range(j) for i in iter_bits(below[x])])
+            closed = [d for d in range(1 << j) if all(below[x] & ~d == 0 for x in iter_bits(d))]
+            for d in closed:
+                inside = P.induced(list(iter_bits(d)))
+                rest = P.induced([x for x in range(j) if not d >> x & 1])
+                chains = [1] + [count_chains_of_size(inside, t) for t in sizes]
+                antichains = [1] + [count_antichains_of_size(rest, s) for s in sizes]
+                for k, downsets in zip(ks, maps):
+                    assert downsets[d] == (chains[: k + 1], antichains[: k + 1]), (below, d, k)
+            for downsets in maps:
+                assert list(downsets) == closed, below
+            if j < 6:
+                for mask in closed:
+                    stack.append((below + [mask], [_grow(m, mask, j) for m in maps]))
+
+    def test_longer_vectors_at_k_3_and_4(self):
+        # k >= 3 reads the counts past index 2.
+        result = min_hk_over_posets(8, 3)
+        assert (result.minimum, result.posets_visited) == (0, 108)
+        result = min_hk_over_posets(7, 4)
+        assert (result.minimum, result.posets_visited) == (0, 91)
 
     def test_poset_minimum_bounded_by_permutation_minimum(self):
         for n in (3, 4, 5, 6):
