@@ -106,8 +106,10 @@ def _write(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _emit(payload: dict, args) -> None:
-    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _read_input(args) -> str:
@@ -133,70 +135,39 @@ def _list_of(check):
 _ints = _list_of(_is_int)
 _scalars = _list_of(lambda x: not isinstance(x, (list, dict)))
 
-# The keys each lemma payload must carry, with a check on each value.
-_LEMMA_KEYS = {
-    "shadow": {"ground_size": _is_int, "members": _list_of(_ints), "b": _is_int},
-    "signatures": {"domain": _scalars, "rows": _list_of(_scalars)},
-    "connected": {
-        "t": _is_int,
-        "edges": _list_of(lambda e: _ints(e) and len(e) == 2),
-        "c": _is_int,
-    },
-    "signature-bound": {"poset": lambda v: isinstance(v, dict), "k": _is_int, "ell": _is_int},
-    "surplus-bound": {"poset": lambda v: isinstance(v, dict), "k": _is_int, "t": _is_int},
-}
+
+def _is_dict(value) -> bool:
+    return isinstance(value, dict)
 
 
-def _read_lemma_payload(args) -> dict:
-    data = json.loads(_read_input(args))
-    keys = _LEMMA_KEYS[args.lemma]
-    if not isinstance(data, dict):
-        raise ValidationError(f"lemma {args.lemma} input must be an object with {sorted(keys)}")
-    for key, check in keys.items():
-        if key not in data or not check(data[key]):
-            raise ValidationError(f"lemma {args.lemma} input lacks a well-formed {key!r}")
-    if data.get("anchor") is not None and not _is_int(data["anchor"]):
-        raise ValidationError("lemma anchor must be an integer")
-    return data
-
-
-def _cmd_count(args) -> int:
-    _, budgets = _resolve_runtime(args)
+def _cmd_count(args) -> dict:
     text = _read_input(args).strip()
     p = permutation_from_json(text) if text.startswith("{") else parse_permutation(text)
     report = count_monotone(p, args.k)
     payload = report.to_json_dict()
     payload["n"] = p.n
     if args.oracle:
-        oracle = brute_force_count(p, args.k, budgets)
+        oracle = brute_force_count(p, args.k)
         payload["oracle"] = oracle.to_json_dict()
         payload["oracle_match"] = (
             oracle.increasing == report.increasing and oracle.decreasing == report.decreasing
         )
     if args.profile:
         payload["profile"] = length_profile(p, args.profile).to_json_dict()
-    payload["config"] = _config(args)
-    _emit(payload, args)
-    return EXIT_OK
+    return payload
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> dict | str:
     if args.family == "tau":
         if args.n is None:
             raise ValidationError("construct tau requires --n")
         p = build_tau(args.k, args.n)
     else:
         p = build_sigma_extremal(args.k, args.variant)
-    if args.json:
-        payload = p.to_json_dict()
-        payload["config"] = _config(args)
-        _emit(payload, args)
-    else:
-        _write(p.to_line() + "\n", args.out)
-    return EXIT_OK
+    return p.to_json_dict() if args.json else p.to_line() + "\n"
 
 
-def _cmd_formula(args) -> int:
+def _cmd_formula(args) -> dict:
     split = param_split(args.k, args.n)
     payload = {
         "m_tau": m_tau_formula(args.k, args.n),
@@ -210,125 +181,137 @@ def _cmd_formula(args) -> int:
     if args.n >= args.k + 1:
         frac = mu(args.k, args.n, payload["m_tau"])
         payload["mu"] = {"numerator": frac.numerator, "denominator": frac.denominator}
-    payload["config"] = _config(args)
-    _emit(payload, args)
-    return EXIT_OK
+    return payload
 
 
-def _cmd_poset(args) -> int:
-    _, budgets = _resolve_runtime(args)
-    P = poset_from_json(_read_input(args))
-    payload: dict = {"n": P.n}
-    if args.action == "decompose":
-        dec = decompose(P)
-        payload.update(
-            {
-                "height": height(P),
-                "width": width(P),
-                "levels": [sorted(x + 1 for x in lvl) for lvl in dec.levels],
-                "u": [str(v) for v in dec.u],
-                "sigma": [str(s) for s in dec.sigma],
-                "a_prime": [sorted(x + 1 for x in lvl) for lvl in dec.a_prime],
-                "a_double_prime": [sorted(x + 1 for x in lvl) for lvl in dec.a_double_prime],
-                "b": [sorted(x + 1 for x in lvl) for lvl in dec.b],
-                "c": [sorted(x + 1 for x in lvl) for lvl in dec.c],
-                "d": [sorted(x + 1 for x in lvl) for lvl in dec.d],
-            }
-        )
-        if args.k:
-            ix = index_sets(P, args.k)
-            payload["index_sets"] = {
-                "f": sorted(ix.f),
-                "f_prime": sorted(ix.f_prime),
-                "f_double_prime": sorted(ix.f_double_prime),
-                "s": None if ix.s is None else str(ix.s),
-                "surplus": ix.surplus,
-            }
-    elif args.action == "hk":
-        if not args.k:
-            raise ValidationError("poset hk requires --k")
-        payload["h_k"] = str(h_k(P, args.k, budgets))
-    elif args.action == "surplus":
-        if not args.k:
-            raise ValidationError("poset surplus requires --k")
-        payload["surplus"] = surplus(P, args.k)
-        payload["height"] = height(P)
-    elif args.action == "prune":
-        if not args.t:
-            raise ValidationError("poset prune requires --t")
-        result = prune(P, args.k or 1, args.t)
-        payload["prune"] = result.to_json_dict()
-    elif args.action == "verify-example":
-        if not args.k:
-            raise ValidationError("poset verify-example requires --k")
-        payload["report"] = verify_example_structure(P, args.k).to_json_dict()
-    payload["config"] = _config(args)
-    _emit(payload, args)
-    return EXIT_OK
+def _ids(groups) -> list:
+    """Each group of 0-based ids as a sorted list of 1-based ids."""
+    return [sorted(x + 1 for x in group) for group in groups]
 
 
-def _cmd_lemma(args) -> int:
-    data = _read_lemma_payload(args)
-    payload: dict
-    if args.lemma == "shadow":
-        family = SetFamily.from_lists(data["ground_size"], data["members"])
-        shadow = lower_shadow(family, data["b"])
-        payload = {
-            "shadow_size": len(shadow.members),
-            "members": sorted(sorted(m) for m in shadow.members),
+def _decompose(P, k) -> dict:
+    dec = decompose(P)
+    payload = {
+        "height": height(P),
+        "width": width(P),
+        "levels": _ids(dec.levels),
+        "u": [str(v) for v in dec.u],
+        "sigma": [str(s) for s in dec.sigma],
+        "a_prime": _ids(dec.a_prime),
+        "a_double_prime": _ids(dec.a_double_prime),
+        "b": _ids(dec.b),
+        "c": _ids(dec.c),
+        "d": _ids(dec.d),
+    }
+    if k:
+        ix = index_sets(P, k)
+        payload["index_sets"] = {
+            "f": sorted(ix.f),
+            "f_prime": sorted(ix.f_prime),
+            "f_double_prime": sorted(ix.f_double_prime),
+            "s": None if ix.s is None else str(ix.s),
+            "surplus": ix.surplus,
         }
-    elif args.lemma == "signatures":
-        table = FunctionTable(
-            domain=tuple(data["domain"]), rows=tuple(tuple(r) for r in data["rows"])
-        )
-        sets = distinguishing_sets(table)
-        payload = {"sets": [sorted(s) for s in sets]}
-    elif args.lemma == "connected":
-        tree = LabeledTree(data["t"], frozenset((a, b) for a, b in data["edges"]))
-        payload = {"count": str(count_connected_subsets(tree, data["c"]))}
-    elif args.lemma == "signature-bound":
-        P = poset_from_json(data["poset"])
-        anchor = data.get("anchor")
-        report = signature_bound_check(
-            P, data["k"], data["ell"], None if anchor is None else anchor - 1
-        )
-        payload = {"report": report.to_json_dict()}
-    else:  # surplus-bound
-        P = poset_from_json(data["poset"])
-        report = surplus_conclusion_check(P, data["k"], data["t"])
-        payload = {"report": report.to_json_dict()}
-    payload["config"] = _config(args)
-    _emit(payload, args)
-    return EXIT_OK
+    return payload
 
 
-def _cmd_search(args) -> int:
+# Each poset action: the flag it requires (None if none) and its fields.
+_POSET_ACTIONS = {
+    "decompose": (None, lambda P, a: _decompose(P, a.k)),
+    "hk": ("k", lambda P, a: {"h_k": str(h_k(P, a.k))}),
+    "surplus": ("k", lambda P, a: {"surplus": surplus(P, a.k), "height": height(P)}),
+    "prune": ("t", lambda P, a: {"prune": prune(P, a.k or 1, a.t).to_json_dict()}),
+    "verify-example": (
+        "k",
+        lambda P, a: {"report": verify_example_structure(P, a.k).to_json_dict()},
+    ),
+}
+
+
+def _cmd_poset(args) -> dict:
+    P = poset_from_json(_read_input(args))
+    needs, fields = _POSET_ACTIONS[args.action]
+    if needs and not getattr(args, needs):
+        raise ValidationError(f"poset {args.action} requires --{needs}")
+    return {"n": P.n, **fields(P, args)}
+
+
+def _shadow(data) -> dict:
+    shadow = lower_shadow(SetFamily.from_lists(data["ground_size"], data["members"]), data["b"])
+    return {
+        "shadow_size": len(shadow.members),
+        "members": sorted(sorted(m) for m in shadow.members),
+    }
+
+
+def _signatures(data) -> dict:
+    table = FunctionTable(domain=tuple(data["domain"]), rows=tuple(map(tuple, data["rows"])))
+    return {"sets": [sorted(s) for s in distinguishing_sets(table)]}
+
+
+def _connected(data) -> dict:
+    tree = LabeledTree(data["t"], frozenset((a, b) for a, b in data["edges"]))
+    return {"count": str(count_connected_subsets(tree, data["c"]))}
+
+
+def _signature_bound(data) -> dict:
+    P = poset_from_json(data["poset"])
+    anchor = None if data.get("anchor") is None else data["anchor"] - 1
+    return {"report": signature_bound_check(P, data["k"], data["ell"], anchor).to_json_dict()}
+
+
+def _surplus_bound(data) -> dict:
+    report = surplus_conclusion_check(poset_from_json(data["poset"]), data["k"], data["t"])
+    return {"report": report.to_json_dict()}
+
+
+# Each lemma: the keys its payload must carry, with a check on each value,
+# and the runner that turns a checked payload into its result.
+_LEMMAS = {
+    "shadow": ({"ground_size": _is_int, "members": _list_of(_ints), "b": _is_int}, _shadow),
+    "signatures": ({"domain": _scalars, "rows": _list_of(_scalars)}, _signatures),
+    "connected": (
+        {"t": _is_int, "edges": _list_of(lambda e: _ints(e) and len(e) == 2), "c": _is_int},
+        _connected,
+    ),
+    "signature-bound": ({"poset": _is_dict, "k": _is_int, "ell": _is_int}, _signature_bound),
+    "surplus-bound": ({"poset": _is_dict, "k": _is_int, "t": _is_int}, _surplus_bound),
+}
+
+
+def _cmd_lemma(args) -> dict:
+    keys, run = _LEMMAS[args.lemma]
+    data = json.loads(_read_input(args))
+    if not isinstance(data, dict):
+        raise ValidationError(f"lemma {args.lemma} input must be an object with {sorted(keys)}")
+    for key, check in keys.items():
+        if key not in data or not check(data[key]):
+            raise ValidationError(f"lemma {args.lemma} input lacks a well-formed {key!r}")
+    if data.get("anchor") is not None and not _is_int(data["anchor"]):
+        raise ValidationError("lemma anchor must be an integer")
+    return run(data)
+
+
+def _cmd_search(args) -> dict | str:
+    if args.format == "csv" and args.mode != "exhaustive":
+        raise ValidationError("--format csv applies to search exhaustive only")
     workers, budgets = _resolve_runtime(args)
-    if args.mode == "exhaustive":
-        result = exhaustive_min(args.n, args.k, budgets, workers)
-        payload = result.to_json_dict()
-        payload["formula"] = str(m_tau_formula(args.k, args.n))
-        payload["match"] = result.minimum == m_tau_formula(args.k, args.n)
-    elif args.mode == "heuristic":
-        result = heuristic_min(args.n, args.k, trials=args.trials, seed=args.seed)
-        payload = result.to_json_dict()
-    else:  # posets
-        result = min_hk_over_posets(args.n, args.k, budgets)
-        payload = result.to_json_dict()
-    payload["config"] = _config(args)
-
-    if args.format == "csv" and args.mode == "exhaustive":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "k", "minimum", "formula", "match"])
-        writer.writerow([args.n, args.k, payload["minimum"], payload["formula"], payload["match"]])
-        _write(buf.getvalue(), args.out)
-        return EXIT_OK
-    _emit(payload, args)
-    return EXIT_OK
+    if args.mode == "heuristic":
+        return heuristic_min(args.n, args.k, trials=args.trials, seed=args.seed).to_json_dict()
+    if args.mode == "posets":
+        return min_hk_over_posets(args.n, args.k, budgets).to_json_dict()
+    result = exhaustive_min(args.n, args.k, budgets, workers)
+    formula = m_tau_formula(args.k, args.n)
+    match = result.minimum == formula
+    if args.format == "csv":
+        header = ["n", "k", "minimum", "formula", "match"]
+        return _csv([header, [args.n, args.k, result.minimum, formula, match]])
+    return {**result.to_json_dict(), "formula": str(formula), "match": match}
 
 
-def _cmd_repro(args) -> int:
+def _cmd_repro(args) -> None:
+    """Writes the theorem table to --out (or stdout) and the probe table
+    next to it, so unlike the other commands it returns nothing."""
     workers, budgets = _resolve_runtime(args)
     quick = args.quick
     theorem_rows = [(n, 2) for n in range(5, 8 if quick else 11)]
@@ -336,27 +319,19 @@ def _cmd_repro(args) -> int:
         theorem_rows += [(10, 3), (11, 3)]
     probe_rows = [5] if quick else [5, 6, 7, 8, 9]
 
-    main_buf = io.StringIO()
-    writer = csv.writer(main_buf)
-    writer.writerow(["n", "k", "exhaustive_min", "formula", "match", "mixed_minimizer_count"])
+    table = [["n", "k", "exhaustive_min", "formula", "match", "mixed_minimizer_count"]]
     for n, k in theorem_rows:
         rep = verify_theorem(n, k, budgets, workers)
-        writer.writerow(
-            [n, k, rep.exhaustive_minimum, rep.formula_value, rep.match, rep.mixed_count]
-        )
-
-    probe_buf = io.StringIO()
-    pwriter = csv.writer(probe_buf)
-    pwriter.writerow(["n", "k", "poset_min", "perm_min", "equal"])
+        table.append([n, k, rep.exhaustive_minimum, rep.formula_value, rep.match, rep.mixed_count])
+    probe = [["n", "k", "poset_min", "perm_min", "equal"]]
     for n in probe_rows:
         res = min_hk_over_posets(n, 2, budgets)
-        pwriter.writerow(
+        probe.append(
             [n, 2, res.minimum, res.permutation_minimum, res.minimum == res.permutation_minimum]
         )
 
-    _write(main_buf.getvalue(), args.out)
-    _write(probe_buf.getvalue(), args.out and args.out + ".q1.csv")
-    return EXIT_OK
+    _write(_csv(table), args.out)
+    _write(_csv(probe), args.out and args.out + ".q1.csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,9 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_for.set_defaults(func=_cmd_formula)
 
     p_pos = sub.add_parser("poset", help="decomposition and poset statistics")
-    p_pos.add_argument(
-        "action", choices=["decompose", "hk", "surplus", "prune", "verify-example"]
-    )
+    p_pos.add_argument("action", choices=list(_POSET_ACTIONS))
     p_pos.add_argument("--k", type=int, default=None)
     p_pos.add_argument("--t", type=int, default=None)
     p_pos.add_argument("--input", default=None)
@@ -399,10 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pos.set_defaults(func=_cmd_poset)
 
     p_lem = sub.add_parser("lemma", help="auxiliary bound checkers")
-    p_lem.add_argument(
-        "lemma",
-        choices=["shadow", "signatures", "connected", "signature-bound", "surplus-bound"],
-    )
+    p_lem.add_argument("lemma", choices=list(_LEMMAS))
     p_lem.add_argument("--input", default=None)
     p_lem.add_argument("--out", default=None)
     p_lem.set_defaults(func=_cmd_lemma)
@@ -426,19 +396,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command.  A command returns a JSON payload (a dict), which
+    gets the run config embedded, or text; either goes to --out or stdout."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, dict):
+            result["config"] = _config(args)
+            result = json.dumps(result, sort_keys=True, indent=2) + "\n"
+        if result is not None:
+            _write(result, args.out)
     except (ValidationError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
     except BudgetExceededError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
+    return EXIT_OK
 
 
 def main() -> None:

@@ -125,7 +125,7 @@ def min_height_reducing_set(P: Poset) -> list[int]:
 
 @dataclass(frozen=True)
 class PruneRound:
-    removed: Optional[tuple[int, ...]]  # ids in the labeling current at that round
+    removed: Optional[tuple[int, ...]]  # 0-based ids in the labeling current at that round
     flipped: bool
     size_after: int
     height_after: int
@@ -138,11 +138,12 @@ class PruneResult:
     rounds: list[PruneRound]
 
     def to_json_dict(self) -> dict:
+        """Removed ids are 1-based, like every other poset id in JSON."""
         return {
             "final": self.poset.to_json_dict(),
             "rounds": [
                 {
-                    "removed": list(r.removed) if r.removed is not None else None,
+                    "removed": None if r.removed is None else [x + 1 for x in r.removed],
                     "flipped": r.flipped,
                     "size_after": r.size_after,
                     "height_after": r.height_after,

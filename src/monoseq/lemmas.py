@@ -75,7 +75,12 @@ def lower_shadow(family: SetFamily, b: int) -> SetFamily:
 
 @dataclass(frozen=True)
 class FunctionTable:
-    """Pairwise distinct functions domain -> anything, given as rows."""
+    """Pairwise distinct functions domain -> anything, given as rows.
+
+    The domain points, and the values in each column, must be orderable
+    against each other: the construction breaks ties by the least value,
+    and callers report the sets of domain points sorted.
+    """
 
     domain: tuple[Hashable, ...]
     rows: tuple[tuple[Hashable, ...], ...]
@@ -88,6 +93,19 @@ class FunctionTable:
                 raise ValidationError("row length does not match the domain")
         if len(set(self.rows)) != len(self.rows):
             raise ValidationError("rows must be pairwise distinct")
+        if not _orderable(self.domain):
+            raise ValidationError("domain points cannot be ordered against each other")
+        for pos, x in enumerate(self.domain):
+            if not _orderable({row[pos] for row in self.rows}):
+                raise ValidationError(f"values at domain point {x!r} cannot be ordered")
+
+
+def _orderable(values) -> bool:
+    try:
+        sorted(values)
+    except TypeError:
+        return False
+    return True
 
 
 def distinguishing_sets(table: FunctionTable) -> list[frozenset[Hashable]]:

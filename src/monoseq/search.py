@@ -187,6 +187,10 @@ def exhaustive_min(
     and raises if the configured budgets are exceeded.  At most witness_cap
     minimizing orbits are kept; witnesses_truncated is set whenever any
     other minimizing orbit was found and dropped.
+
+    k = 1 is answered in closed form: every permutation has C(n,2)
+    monotone pairs, so no state is visited and the one witness kept is the
+    identity, the first minimizing orbit in lexicographic order.
     """
     if n < 1 or k < 1:
         raise ValidationError("n and k must be positive")
@@ -205,7 +209,12 @@ def exhaustive_min(
         (n, k, prefix, bound, budgets.search_state_budget, budgets.witness_cap)
         for prefix in _prefixes(n)
     ]
-    if workers == 1:
+    if k == 1:
+        # Every pair is monotone, so each permutation counts C(n,2) = bound.
+        # The identity is the least orbit representative; S_n has more than
+        # one orbit from n = 3 on, so the list is truncated there.
+        outcomes = [(bound, [tuple(range(1, n + 1))], 0, n >= 3)]
+    elif workers == 1:
         outcomes = [_search_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

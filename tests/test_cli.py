@@ -1,15 +1,28 @@
 import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from monoseq.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, dispatch
+from monoseq.cli import (
+    _LEMMAS,
+    _POSET_ACTIONS,
+    EXIT_BUDGET,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VALIDATION,
+    dispatch,
+)
 from monoseq.perms import build_sigma_extremal, build_tau, m_tau_formula, parse_permutation
 from monoseq.posets import poset_from_perm
 
@@ -140,6 +153,8 @@ class TestPoset:
         assert payload["prune"]["final"]["n"] == 0
         jsonschema.validate(payload["prune"]["final"], load_schema("poset.schema.json"))
         assert len(payload["prune"]["rounds"]) == 3
+        # Each round removes the bottom of what is left, id 1 in the relabeled poset.
+        assert [r["removed"] for r in payload["prune"]["rounds"]] == [[1], [1], [1]]
 
     def test_verify_example(self):
         P = poset_from_perm(build_sigma_extremal(3, 2))
@@ -175,6 +190,12 @@ class TestLemma:
         code, out = run_cli(["lemma", "signatures"], stdin_text=json.dumps(payload))
         assert json.loads(out)["sets"] == [[], ["a"]]
 
+    def test_signatures_columns_of_one_type_each(self):
+        payload = {"domain": [0, 1], "rows": [[1, "a"], [2, "b"]]}
+        code, out = run_cli(["lemma", "signatures"], stdin_text=json.dumps(payload))
+        assert code == EXIT_OK
+        assert json.loads(out)["sets"] == [[], [0]]
+
     def test_connected(self):
         payload = {"t": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]], "c": 3}
         code, out = run_cli(["lemma", "connected"], stdin_text=json.dumps(payload))
@@ -203,6 +224,14 @@ class TestLemma:
             ("signature-bound", '{"poset":{"n":2},"k":"1","ell":1}'),
             ("signature-bound", '{"poset":{"n":2},"k":1,"ell":1,"anchor":"1"}'),
             ("signatures", '{"domain":[[0]],"rows":[[1]]}'),
+            # Values that cannot be ordered against each other: in one column,
+            # or among the domain points.
+            ("signatures", '{"domain":[0],"rows":[[1],[null]]}'),
+            ("signatures", '{"domain":[0,1],"rows":[[1,"a"],[2,"b"],["x",3]]}'),
+            (
+                "signatures",
+                '{"domain":[0,"a"],"rows":[[1,1],[1,2],[1,3],[2,1],[2,2],[3,1],[3,3],[4,4]]}',
+            ),
             ("surplus-bound", '{"poset":{"n":3},"k":2}'),
         ],
     )
@@ -221,6 +250,11 @@ class TestSearch:
     def test_exhaustive_csv(self):
         code, out = run_cli(["search", "exhaustive", "--n", "6", "--k", "2", "--format", "csv"])
         assert out.splitlines() == ["n,k,minimum,formula,match", "6,2,2,2,True"]
+
+    @pytest.mark.parametrize("mode", ["heuristic", "posets"])
+    def test_csv_is_for_exhaustive_only(self, mode):
+        code, out = run_cli(["search", mode, "--n", "5", "--k", "2", "--format", "csv"])
+        assert (code, out) == (EXIT_VALIDATION, "")
 
     def test_posets_mode(self):
         code, out = run_cli(["search", "posets", "--n", "5", "--k", "2"])
@@ -312,3 +346,108 @@ class TestContracts:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "3 4 5 1 2"
+
+    @pytest.mark.parametrize(
+        "argv, stdin_text",
+        [
+            (["count", "--k", "2", "--oracle"], "2 1 4 3"),
+            (["construct", "tau", "--k", "3", "--n", "13"], ""),
+            (["construct", "tau", "--k", "3", "--n", "13", "--json"], ""),
+            (["formula", "--k", "3", "--n", "13"], ""),
+            (["poset", "decompose", "--k", "2"], '{"n":2,"relation":[[1,2]],"witness":[1,2]}'),
+            (["lemma", "shadow"], '{"ground_size": 4, "members": [[0, 1], [2, 3]], "b": 1}'),
+            (["search", "exhaustive", "--n", "6", "--k", "2"], ""),
+            (["search", "exhaustive", "--n", "6", "--k", "2", "--format", "csv"], ""),
+        ],
+    )
+    def test_out_file_holds_what_stdout_gets(self, tmp_path, argv, stdin_text):
+        code, out = run_cli(argv, stdin_text)
+        path = tmp_path / "out"
+        code_file, printed = run_cli(argv + ["--out", str(path)], stdin_text)
+        assert (code, code_file, printed) == (EXIT_OK, EXIT_OK, "")
+        expected = out
+        if out.startswith("{"):
+            # The embedded config names the --out file too; nothing else differs.
+            payload = json.loads(out)
+            payload["config"]["flags"]["out"] = str(path)
+            expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+
+# Fuzzing the whole boundary: drawn flags, environment and stdin, in-process.
+_small = st.integers(-1, 7)
+_KEYS = ["n", "relation", "witness", "values", "domain", "rows", "ground_size", "members",
+         "b", "t", "edges", "c", "poset", "k", "ell", "anchor"]
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=16,
+)
+_stdin = (
+    _json_values.map(json.dumps)
+    | st.lists(st.integers(0, 8), max_size=8).map(lambda v: " ".join(map(str, v)))
+    | st.text(max_size=20)
+)
+
+
+def _opt(flag, values):
+    """Either nothing or the flag with a drawn value."""
+    return st.none() | values.map(lambda v: [flag, str(v)])
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [x for p in ps if p for x in p])
+
+
+_k = st.integers(-1, 3)
+_SUBCOMMANDS = st.one_of(
+    _argv(st.just(["count"]), _opt("--k", _k), st.sampled_from([[], ["--oracle"]]),
+          _opt("--profile", _small)),
+    _argv(st.just(["construct"]), st.sampled_from([["tau"], ["sigma"]]), _opt("--k", _k),
+          _opt("--n", _small), _opt("--variant", st.integers(0, 2)),
+          st.sampled_from([[], ["--json"]])),
+    _argv(st.just(["formula"]), _opt("--k", _k), _opt("--n", _small)),
+    _argv(st.just(["poset"]), st.sampled_from(list(_POSET_ACTIONS)).map(lambda a: [a]),
+          _opt("--k", _k), _opt("--t", st.integers(-1, 3))),
+    _argv(st.just(["lemma"]), st.sampled_from(list(_LEMMAS)).map(lambda a: [a])),
+    _argv(st.just(["search"]), st.sampled_from([["exhaustive"], ["heuristic"], ["posets"]]),
+          _opt("--n", _small), _opt("--k", _k), _opt("--seed", st.integers(-1, 3)),
+          _opt("--trials", st.integers(-1, 3)), _opt("--format", st.sampled_from(["json", "csv"]))),
+    _argv(st.just(["repro", "--quick"])),
+)
+_GLOBAL = _argv(_opt("--workers", st.integers(-1, 2)),
+                _opt("--budget", st.sampled_from([-1, 0, 10, 10_000, 10**9])))
+_BAD_ENV = ["x", "", "1.5"]
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    glob=_GLOBAL,
+    sub=_SUBCOMMANDS,
+    extra=st.sampled_from([[], [], [], ["--out"], ["--wat"]]),
+    stdin_text=_stdin,
+    workers_env=st.sampled_from([None, "1", "2"] + _BAD_ENV),
+    budget_env=st.sampled_from([None, "0", "100"] + _BAD_ENV),
+)
+@example(
+    glob=[],
+    sub=["lemma", "signatures"],
+    extra=[],
+    stdin_text='{"domain":[0],"rows":[[1],[null]]}',
+    workers_env=None,
+    budget_env=None,
+)
+def test_fuzzed_invocations_keep_the_exit_code_contract(
+    glob, sub, extra, stdin_text, workers_env, budget_env
+):
+    env = {"MONOSEQ_WORKERS": workers_env, "MONOSEQ_BUDGET": budget_env}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        for name, value in env.items():
+            os.environ.pop(name, None)
+            if value is not None:
+                os.environ[name] = value
+        if extra == ["--out"]:
+            extra = ["--out", os.path.join(tmp, "out")]
+        code, _ = run_cli(glob + sub + extra, stdin_text)
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_BUDGET, EXIT_USAGE)

@@ -97,6 +97,16 @@ class TestExhaustiveMin:
         assert len(exact.witnesses) == 6
         assert not exact.witnesses_truncated
 
+    def test_k1_in_closed_form(self):
+        # Every permutation has C(9,2) = 36 monotone pairs, so nothing is
+        # searched; the identity is the witness a cap of 1 keeps.
+        result = exhaustive_min(9, 1)
+        assert result.minimum == 36 and result.states_visited == 0
+        assert result.witnesses == [Permutation(tuple(range(1, 10)))]
+        assert result.type_breakdown == [(36, 0)]
+        assert result.witnesses_truncated
+        assert not exhaustive_min(2, 1).witnesses_truncated
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValidationError):
             exhaustive_min(0, 2)
