@@ -81,11 +81,13 @@ def _resolve_runtime(args) -> tuple[int, Budgets]:
 
 def _config(args) -> dict:
     """The run configuration as resolved from flags, environment and defaults."""
-    workers, budgets = _resolve_runtime(args)
+    workers, budgets = args.runtime
     flags = {
         key: value
         for key, value in sorted(vars(args).items())
-        if key not in {"func", "workers"} and value is not None and not callable(value)
+        if key not in {"func", "workers", "runtime"}
+        and value is not None
+        and not callable(value)
     }
     return {
         "subcommand": args.subcommand,
@@ -100,8 +102,11 @@ def _config(args) -> dict:
 def _write(text: str, path: Optional[str]) -> None:
     """Write text to the named file, or to stdout when no file is named."""
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -124,6 +129,14 @@ def _read_input(args) -> str:
         raise ValidationError(f"cannot read {path or 'stdin'}: {exc}") from exc
 
 
+def _json(text: str):
+    """Parse JSON input; malformed or too deeply nested text is a validation error."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(f"malformed JSON input: {exc}") from exc
+
+
 def _is_int(value) -> bool:
     return type(value) is int  # unlike isinstance, rejects bool
 
@@ -142,7 +155,7 @@ def _is_dict(value) -> bool:
 
 def _cmd_count(args) -> dict:
     text = _read_input(args).strip()
-    p = permutation_from_json(text) if text.startswith("{") else parse_permutation(text)
+    p = permutation_from_json(_json(text)) if text.startswith("{") else parse_permutation(text)
     report = count_monotone(p, args.k)
     payload = report.to_json_dict()
     payload["n"] = p.n
@@ -192,7 +205,7 @@ def _ids(groups) -> list:
 def _decompose(P, k) -> dict:
     dec = decompose(P)
     payload = {
-        "height": height(P),
+        "height": dec.h,
         "width": width(P),
         "levels": _ids(dec.levels),
         "u": [str(v) for v in dec.u],
@@ -229,7 +242,7 @@ _POSET_ACTIONS = {
 
 
 def _cmd_poset(args) -> dict:
-    P = poset_from_json(_read_input(args))
+    P = poset_from_json(_json(_read_input(args)))
     needs, fields = _POSET_ACTIONS[args.action]
     if needs and not getattr(args, needs):
         raise ValidationError(f"poset {args.action} requires --{needs}")
@@ -281,7 +294,7 @@ _LEMMAS = {
 
 def _cmd_lemma(args) -> dict:
     keys, run = _LEMMAS[args.lemma]
-    data = json.loads(_read_input(args))
+    data = _json(_read_input(args))
     if not isinstance(data, dict):
         raise ValidationError(f"lemma {args.lemma} input must be an object with {sorted(keys)}")
     for key, check in keys.items():
@@ -295,7 +308,7 @@ def _cmd_lemma(args) -> dict:
 def _cmd_search(args) -> dict | str:
     if args.format == "csv" and args.mode != "exhaustive":
         raise ValidationError("--format csv applies to search exhaustive only")
-    workers, budgets = _resolve_runtime(args)
+    workers, budgets = args.runtime
     if args.mode == "heuristic":
         return heuristic_min(args.n, args.k, trials=args.trials, seed=args.seed).to_json_dict()
     if args.mode == "posets":
@@ -312,7 +325,7 @@ def _cmd_search(args) -> dict | str:
 def _cmd_repro(args) -> None:
     """Writes the theorem table to --out (or stdout) and the probe table
     next to it, so unlike the other commands it returns nothing."""
-    workers, budgets = _resolve_runtime(args)
+    workers, budgets = args.runtime
     quick = args.quick
     theorem_rows = [(n, 2) for n in range(5, 8 if quick else 11)]
     if not quick:
@@ -396,21 +409,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command.  A command returns a JSON payload (a dict), which
-    gets the run config embedded, or text; either goes to --out or stdout."""
+    """Run one command.  Workers and budget are resolved before it runs, so
+    a malformed MONOSEQ_WORKERS or MONOSEQ_BUDGET fails before any work.
+    A command returns a JSON payload (a dict), which gets the run config
+    embedded, or text; either goes to --out or stdout."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        args.runtime = _resolve_runtime(args)
         result = args.func(args)
         if isinstance(result, dict):
             result["config"] = _config(args)
             result = json.dumps(result, sort_keys=True, indent=2) + "\n"
         if result is not None:
             _write(result, args.out)
-    except (ValidationError, json.JSONDecodeError) as exc:
+    except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
     except BudgetExceededError as exc:

@@ -18,7 +18,9 @@ class Budgets:
     antichain_node_budget: int = 5_000_000
     # Largest n accepted by the exhaustive permutation search.
     exhaustive_max_n: int = 11
-    # Node cap for one exhaustive search run (all workers combined).
+    # Node cap for one exhaustive search run.  Each of its prefix tasks may
+    # visit an equal share, budget // tasks, so the run as a whole stays
+    # within the cap and the outcome does not depend on the workers.
     search_state_budget: int = 1_000_000_000
     # Largest n accepted by the exhaustive poset search.
     poset_enum_max_n: int = 9

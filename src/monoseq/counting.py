@@ -132,11 +132,14 @@ def brute_force_count(p: Permutation, k: int, budgets: Budgets = DEFAULT_BUDGETS
             needed=work,
             budget=budgets.subset_budget,
         )
+    # The values are distinct, so a subset is increasing exactly when it
+    # equals its sorted order, and decreasing exactly when its reverse does.
     inc = dec = 0
     for sub in combinations(p.values, m):
-        if all(a < b for a, b in zip(sub, sub[1:])):
+        ordered = tuple(sorted(sub))
+        if sub == ordered:
             inc += 1
-        elif all(a > b for a, b in zip(sub, sub[1:])):
+        elif sub[::-1] == ordered:
             dec += 1
     return CountReport(k=k, increasing=inc, decreasing=dec)
 

@@ -23,10 +23,10 @@ from .posets import (
     Poset,
     count_antichains_of_size,
     count_chains_of_size,
-    height,
     iter_bits,
     level_of_each,
     max_bipartite_matching_pairs,
+    surplus,
     width,
 )
 
@@ -170,7 +170,7 @@ def index_sets(P: Poset, k: int) -> IndexSets:
         f_prime=f_prime,
         f_double_prime=f_double_prime,
         s=s_threshold,
-        surplus=P.n - h * k,
+        surplus=surplus(P, k),
     )
 
 
@@ -208,14 +208,13 @@ def disjoint_chain_cover(P: Poset, i: int, j: int) -> ChainCoverResult:
         if len(dec.a_prime[m - 1]) != k
     ]
 
-    chains = [[y] for y in sorted(dec.a_prime[j - 1])]
+    chains = [[y] for y in dec.a_prime[j - 1]]
     for m in range(j - 1, i - 1, -1):
-        lower_live = set(dec.a_prime[m - 1])
         heads = {ch[0]: ch for ch in chains}
-        adjacency = {
-            x: sorted(y for y in iter_bits(P.above[x]) if y in heads)
-            for x in sorted(lower_live)
-        }
+        adjacency: dict[int, list[int]] = {x: [] for x in dec.a_prime[m - 1]}
+        for x, y in dec.hasse[m - 1]:
+            if x in adjacency and y in heads:
+                adjacency[x].append(y)
         matching = max_bipartite_matching_pairs(adjacency)
         chains = [[x] + heads[y] for x, y in sorted(matching.items())]
 
@@ -280,17 +279,15 @@ def verify_example_structure(P: Poset, k: int) -> ExampleStructureReport:
     if P.n != k * k + k + 1:
         raise ValidationError(f"expected n = k^2+k+1 = {k*k+k+1}, got {P.n}")
 
-    clauses: list[ClauseResult] = []
     dec = decompose(P)
-    a1 = dec.levels[0] if dec.h >= 1 else []
-    clauses.append(
-        ClauseResult("minimal-level-size", len(a1) == k + 1, f"|A_1| = {len(a1)}")
-    )
+    a1 = dec.levels[0]
+    clauses = [ClauseResult("minimal-level-size", len(a1) == k + 1, f"|A_1| = {len(a1)}")]
     if not clauses[-1].ok:
         return ExampleStructureReport(case=None, clauses=clauses)
 
+    # Deleting A_1 lowers every other level by one, so P \ A_1 has height h - 1.
     rest = P.delete(a1)
-    w_rest, h_rest = width(rest), height(rest)
+    w_rest, h_rest = width(rest), dec.h - 1
     clauses.append(
         ClauseResult("rest-chain-cover", w_rest == k, f"width(P \\ A_1) = {w_rest}")
     )
@@ -303,14 +300,15 @@ def verify_example_structure(P: Poset, k: int) -> ExampleStructureReport:
             "rest-max-chain-count", max_chains_rest == k, f"{max_chains_rest} chains of size k"
         )
     )
-    a2 = dec.levels[1] if dec.h >= 2 else []
+    # n > k + 1 = |A_1|, so there is a second level.
+    a2 = dec.levels[1]
     clauses.append(ClauseResult("second-level-size", len(a2) == k, f"|A_2| = {len(a2)}"))
 
-    case, shape_detail, path_nodes, edge_nodes = _bottom_two_level_shape(P, a1, a2, k)
+    case, shape_detail, path_nodes, edge_nodes = _bottom_two_level_shape(dec, k)
     clauses.append(ClauseResult("comparability-shape", case is not None, shape_detail))
 
     if case == "ii":
-        clauses.append(_case_two_order_clause(P, rest, a1, path_nodes, edge_nodes))
+        clauses.append(_case_two_order_clause(P, dec, path_nodes, edge_nodes))
 
     if case is not None:
         chains = count_chains_of_size(P, k + 1)
@@ -328,39 +326,36 @@ def verify_example_structure(P: Poset, k: int) -> ExampleStructureReport:
     return ExampleStructureReport(case=case, clauses=clauses)
 
 
-def _bottom_two_level_shape(P: Poset, a1: list[int], a2: list[int], k: int):
-    """Classify the comparability graph on the bottom two levels."""
-    nodes = sorted(a1) + sorted(a2)
-    adj: dict[int, list[int]] = {x: [] for x in nodes}
-    for x in a1:
-        for y in a2:
-            if P.comparable(x, y):
-                adj[x].append(y)
-                adj[y].append(x)
+def _bottom_two_level_shape(dec: Decomposition, k: int):
+    """Classify the comparability graph on the bottom two levels.
+
+    A_1 holds the minimal elements, so the comparable pairs between A_1 and
+    A_2 are exactly the pairs of dec.hasse[0].
+    """
+    adj: dict[int, list[int]] = {x: [] for x in dec.levels[0] + dec.levels[1]}
+    for x, y in dec.hasse[0]:
+        adj[x].append(y)
+        adj[y].append(x)
 
     seen: set[int] = set()
     components: list[list[int]] = []
-    for start in nodes:
+    for start in adj:
         if start in seen:
             continue
-        comp = [start]
         seen.add(start)
-        queue = [start]
-        while queue:
-            x = queue.pop()
+        comp = [start]
+        for x in comp:  # comp grows as the search reaches new vertices
             for y in adj[x]:
                 if y not in seen:
                     seen.add(y)
                     comp.append(y)
-                    queue.append(y)
         components.append(comp)
 
     def is_path(comp: list[int]) -> bool:
-        if len(comp) == 1:
-            return True
-        degs = sorted(len(adj[x]) for x in comp)
-        edges = sum(len(adj[x]) for x in comp) // 2
-        return edges == len(comp) - 1 and degs[0] == degs[1] == 1 and degs[-1] <= 2
+        # A connected graph with one edge fewer than vertices is a tree,
+        # and a tree with no degree above 2 is a path.
+        degs = [len(adj[x]) for x in comp]
+        return sum(degs) == 2 * (len(comp) - 1) and max(degs) <= 2
 
     sizes = sorted(len(cmp) for cmp in components)
     if sizes == [2 * k + 1] and is_path(components[0]):
@@ -375,30 +370,24 @@ def _bottom_two_level_shape(P: Poset, a1: list[int], a2: list[int], k: int):
 
 
 def _case_two_order_clause(
-    P: Poset, rest: Poset, a1: list[int], path_nodes: list[int], edge_nodes: list[int]
+    P: Poset, dec: Decomposition, path_nodes: list[int], edge_nodes: list[int]
 ) -> ClauseResult:
-    """The case-ii ordering clause; rest is P with A_1 deleted."""
-    # The edge lies on the bottom two levels, so its A_2 elements are those outside A_1.
-    stray = [y for y in edge_nodes if y not in set(a1)]
-    if len(stray) != 1:
+    """The case-ii ordering clause.
+
+    Deleting A_1 lowers every other level by one and leaves u unchanged, so
+    u[z] counts the maximum chains of P \\ A_1 that start at the stray A_2
+    element z.
+    """
+    a1 = set(dec.levels[0])
+    # The edge joins one element of A_1 to the stray element of A_2.
+    z = next(y for y in edge_nodes if y not in a1)
+    if dec.u[z] != 1:
         return ClauseResult(
-            "path-chain-order", False, f"stray edge holds {len(stray)} second-level elements"
-        )
-    z = stray[0]
-    ids = sorted(set(range(P.n)) - set(a1))  # ids[e] is element e of rest in P
-    sd = decompose(rest)
-    z_sub = ids.index(z)
-    # Maximum chains of the rest start on its first level, and u counts
-    # the maximum-chain tails from each element.
-    starting = sd.u[z_sub] if z_sub in sd.levels[0] else 0
-    if starting != 1:
-        return ClauseResult(
-            "path-chain-order", False, f"{starting} maximum chains start at the stray element"
+            "path-chain-order", False, f"{dec.u[z]} maximum chains start at the stray element"
         )
     # That chain goes on through the one up-neighbor that has a tail.
-    second = ids[next(y for x, y in sd.hasse[0] if x == z_sub and sd.u[y] >= 1)]
-    path_a1 = [x for x in path_nodes if x in set(a1)]
-    ok = any(P.less(a, second) for a in path_a1)
+    second = next(y for x, y in dec.hasse[1] if x == z and dec.u[y] >= 1)
+    ok = any(P.less(a, second) for a in path_nodes if a in a1)
     return ClauseResult(
         "path-chain-order",
         ok,

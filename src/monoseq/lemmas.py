@@ -15,13 +15,22 @@ from itertools import combinations
 from math import comb
 from typing import Hashable, Optional
 
+from .decomposition import decompose
 from .errors import ValidationError
 from .numeric import (
     ceil_pow2_of_sqrt_minus_one,
     exp_neg_upper,
     log2_lower,
 )
-from .posets import Poset, count_chains_of_size, count_chains_through, h_k, height, width
+from .posets import (
+    Poset,
+    count_chains_of_size,
+    count_chains_through,
+    h_k,
+    height,
+    surplus,
+    width,
+)
 
 
 @dataclass(frozen=True)
@@ -111,54 +120,48 @@ def _orderable(values) -> bool:
 def distinguishing_sets(table: FunctionTable) -> list[frozenset[Hashable]]:
     """Small domain subsets on whose pairwise unions all rows stay distinct.
 
-    Recursive construction: split on the least domain point where rows
-    disagree, leave the largest value class unmarked (ties broken by least
-    value), and recurse into each class.  Every returned set has size at
-    most log2(M) and any two rows differ on the union of their sets; both
+    Splits a class of rows on the least domain point where they disagree,
+    leaves the largest value class unmarked (ties broken by least value),
+    marks the point in every other class's sets, and splits each class
+    again.  The rows of a class agree up to its split point, so each class
+    resumes its search past it.  Every returned set has size at most
+    log2(M) and any two rows differ on the union of their sets; both
     postconditions are asserted.
     """
-    M = len(table.rows)
-    if M == 0:
-        return []
-    sets = [set() for _ in range(M)]
-    _split(table.domain, table.rows, list(range(M)), sets)
+    domain, rows = table.domain, table.rows
+    M = len(rows)
+    sets: list[set] = [set() for _ in range(M)]
+    stack = [(list(range(M)), 0)]  # a class of rows and the first point they may disagree on
+    while stack:
+        live, first = stack.pop()
+        if len(live) <= 1:
+            continue
+        for pos in range(first, len(domain)):
+            if len({rows[i][pos] for i in live}) > 1:
+                break
+        else:
+            raise AssertionError("distinct rows must disagree somewhere")
+        classes: dict = {}
+        for i in live:
+            classes.setdefault(rows[i][pos], []).append(i)
+        biggest = max(len(members) for members in classes.values())
+        majority = min(y for y, members in classes.items() if len(members) == biggest)
+        for y, members in classes.items():
+            if y != majority:
+                for i in members:
+                    sets[i].add(domain[pos])
+            stack.append((members, pos + 1))
 
     for i, s in enumerate(sets):
         if (1 << len(s)) > M:
             raise AssertionError(f"set {i} larger than log2(M): {s}")
-    dom_index = {x: pos for pos, x in enumerate(table.domain)}
+    dom_index = {x: pos for pos, x in enumerate(domain)}
     for i in range(M):
         for j in range(i + 1, M):
             union = sets[i] | sets[j]
-            if all(table.rows[i][dom_index[x]] == table.rows[j][dom_index[x]] for x in union):
+            if all(rows[i][dom_index[x]] == rows[j][dom_index[x]] for x in union):
                 raise AssertionError(f"rows {i} and {j} agree on their union")
     return [frozenset(s) for s in sets]
-
-
-def _split(domain, rows, live: list[int], sets: list[set]) -> None:
-    if len(live) <= 1:
-        return
-    split_pos = None
-    for pos in range(len(domain)):
-        vals = {rows[i][pos] for i in live}
-        if len(vals) > 1:
-            split_pos = pos
-            break
-    if split_pos is None:
-        raise AssertionError("distinct rows must disagree somewhere")
-    classes: dict = {}
-    for i in live:
-        classes.setdefault(rows[i][split_pos], []).append(i)
-    # Deterministic tie-breaks: split on the least disagreeing domain point
-    # (found above) and leave unmarked the least value among the largest
-    # classes.  Values must therefore be orderable.
-    biggest = max(len(members) for members in classes.values())
-    majority = min(y for y, members in classes.items() if len(members) == biggest)
-    for y, members in classes.items():
-        if y != majority:
-            for i in members:
-                sets[i].add(domain[split_pos])
-        _split(domain, rows, members, sets)
 
 
 @dataclass(frozen=True)
@@ -205,40 +208,27 @@ def count_connected_subsets(tree: LabeledTree, c: int) -> int:
         adj[a].append(b)
         adj[b].append(a)
 
-    order: list[int] = []
     parent = [-1] * t
-    stack = [0]
-    seen = [False] * t
-    seen[0] = True
-    while stack:
-        x = stack.pop()
-        order.append(x)
+    order = [0]  # BFS order from vertex 0; the list grows as the loop reads it
+    for x in order:
         for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
+            if y != parent[x]:
                 parent[y] = x
-                stack.append(y)
+                order.append(y)
 
-    # poly[x][s] = connected subsets of size s containing x within x's subtree
-    poly: list[list[int]] = [[] for _ in range(t)]
-    for x in reversed(order):
-        cur = [0, 1]
-        for y in adj[x]:
-            if parent[y] == x:
-                child = poly[y]
-                new = [0] * (min(c, len(cur) + len(child) - 2) + 1)
-                for s1 in range(1, len(cur)):
-                    if cur[s1] == 0:
-                        continue
-                    for s0 in range(len(child)):
-                        if s0 == 0:
-                            s, add = s1, cur[s1]
-                        else:
-                            s, add = s1 + s0, cur[s1] * child[s0]
-                        if s < len(new):
-                            new[s] += add
-                cur = new
-        poly[x] = cur
+    # poly[x][s] = connected s-subsets (s <= c) containing x within x's
+    # subtree.  In reverse BFS order each child is complete when it folds
+    # into its parent: the subtree either adds nothing or a connected set
+    # containing the child, so the parent convolves with [1] + poly[child][1:].
+    poly = [[0, 1] for _ in range(t)]
+    for y in reversed(order[1:]):
+        x = parent[y]
+        cur, grow = poly[x], [1] + poly[y][1:]
+        new = [0] * min(c + 1, len(cur) + len(grow) - 1)
+        for s1, a in enumerate(cur):
+            for s0, b in enumerate(grow[: len(new) - s1]):
+                new[s1 + s0] += a * b
+        poly[x] = new
 
     total = sum(poly[x][c] if c < len(poly[x]) else 0 for x in range(t))
     if total < t - c + 1:
@@ -287,16 +277,14 @@ def signature_bound_check(
     """
     if k < 1 or ell < 1:
         raise ValidationError("k and ell must be positive")
-    h = height(P)
+    dec = decompose(P)
+    h = dec.h
     if h != k + ell:
         raise ValidationError(f"height is {h}, expected k + ell = {k + ell}")
     if anchor is not None and not 0 <= anchor < P.n:
         raise ValidationError("anchor out of range")
 
-    if anchor is None:
-        M = count_chains_of_size(P, h)
-    else:
-        M = count_chains_through(P, h, anchor)
+    M = dec.sigma[0] if anchor is None else count_chains_through(P, h, anchor)
     if M < 1:
         return SignatureBoundReport(
             k, ell, anchor, False, "no maximum chains (M = 0)", 0, None, None, None
@@ -356,7 +344,7 @@ def surplus_conclusion_check(P: Poset, k: int, t: int) -> SurplusBoundReport:
     pre = {
         "t_at_most_half_k": 2 * t <= k,
         "height_at_least_width": height(P) >= width(P),
-        "surplus_at_least_3t": P.n - height(P) * k >= 3 * t,
+        "surplus_at_least_3t": surplus(P, k) >= 3 * t,
     }
     ok = all(pre.values())
     count = h_k(P, k)

@@ -15,30 +15,14 @@ representatives.
 
 Workers split the space by the first two positions and never share state,
 which keeps results and visit counts bit-reproducible for a fixed
-(n, k, budget, seed, workers) tuple.
+(n, k, budget, seed, workers) tuple.  Each prefix task may visit an equal
+share of the node budget, so whether a run fits its budget does not depend
+on the workers either.
 
-The poset enumerator places ids along a linear extension and counts each
-homogenous (k+1)-set at its top id.  Its incumbent starts at
-m_tau_formula(k, n) + 1 with a strict cut, because the poset of
-build_tau(k, n) reaches m_tau_formula.  At depth j it places j above every
-closed down-set D of the prefix before recursing, and lets a be the least
-count added.  Each later id i adds at least a: restricted to the prefix, its
-down-set is a closed down-set D_i, and its sets whose other members all lie
-in the prefix are the k-chains in D_i plus the k-antichains outside D_i,
-which is what placing j above D_i adds.  Sets are counted by their top id,
-so these terms are disjoint, and a child is cut when count + added +
-(n-j-1)*a reaches the incumbent.  At k = 1 this gains nothing, because every
-order has h_1 = C(n,2).
-
-Each closed down-set D of the prefix carries C_D[t], the t-chains inside
-D, and A_D[s], the s-antichains of the prefix outside D (C_D[0] = A_D[0] =
-1), so placing j above D adds C_D[k] + A_D[k], read off directly.  Once j
-goes above the closed down-set M, the ids below j incomparable with j are
-those outside M, and each vector of the child follows in O(k):
-A'_D[s] = A_D[s] + A_{D|M}[s-1] for a down-set D without j, where D | M is
-closed as a union of closed down-sets and so already carries its vectors,
-and C'_{D|{j}}[t] = C_D[t] + C_M[t-1] for D containing M, which keeps A_D.
-No count backtracks.
+The poset enumerator, min_hk_over_posets, places ids along a linear
+extension and counts each homogenous (k+1)-set at its top id; its
+docstring gives the soundness argument for its seed, its closing bound and
+its O(k) count updates.
 """
 
 from __future__ import annotations
@@ -141,7 +125,7 @@ def _search_task(args) -> tuple[int, list[tuple[int, ...]], int, bool]:
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceededError(
-                    "exhaustive search exceeded its node budget",
+                    "exhaustive search exceeded a prefix task's share of the node budget",
                     needed=nodes,
                     budget=node_budget,
                 )
@@ -205,10 +189,9 @@ def exhaustive_min(
 
     start = time.perf_counter()
     bound = m_tau_formula(k, n)
-    tasks = [
-        (n, k, prefix, bound, budgets.search_state_budget, budgets.witness_cap)
-        for prefix in _prefixes(n)
-    ]
+    prefixes = _prefixes(n)
+    share = budgets.search_state_budget // len(prefixes)
+    tasks = [(n, k, prefix, bound, share, budgets.witness_cap) for prefix in prefixes]
     if k == 1:
         # Every pair is monotone, so each permutation counts C(n,2) = bound.
         # The identity is the least orbit representative; S_n has more than
@@ -222,12 +205,6 @@ def exhaustive_min(
 
     minimum = min(o[0] for o in outcomes)
     states = sum(o[2] for o in outcomes)
-    if states > budgets.search_state_budget:
-        raise BudgetExceededError(
-            "exhaustive search exceeded its node budget",
-            needed=states,
-            budget=budgets.search_state_budget,
-        )
     merged: set[tuple[int, ...]] = set()
     for o in outcomes:
         if o[0] == minimum:
@@ -271,22 +248,6 @@ class TheoremReport:
     all_single_type: Optional[bool]
     mixed_split_ok: Optional[bool]  # every mixed minimizer has >= 2k-1 of one type
     witnesses_truncated: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "exhaustive_minimum": str(self.exhaustive_minimum),
-            "formula_value": str(self.formula_value),
-            "match": self.match,
-            "subcritical": self.subcritical,
-            "special_n": self.special_n,
-            "single_type_count": self.single_type_count,
-            "mixed_count": self.mixed_count,
-            "all_single_type": self.all_single_type,
-            "mixed_split_ok": self.mixed_split_ok,
-            "witnesses_truncated": self.witnesses_truncated,
-        }
 
 
 def verify_theorem(

@@ -120,6 +120,8 @@ class TestCount:
         assert code == EXIT_VALIDATION
         code, _ = run_cli(["count", "--k", "1"], stdin_text='{"values":5}')
         assert code == EXIT_VALIDATION
+        code, _ = run_cli(["count", "--k", "2"], stdin_text='{"values": ' + "[" * 200_000)
+        assert code == EXIT_VALIDATION
         code, _ = run_cli(["count", "--k", "1", "--input", str(tmp_path / "missing")])
         assert code == EXIT_VALIDATION
 
@@ -172,6 +174,7 @@ class TestPoset:
             '{"n":3,"relation":[],"witness":5}',
             "{n: 3",
             '{"n":3,"relation":[[1,2]],"witness":[]}',
+            pytest.param("[" * 200_000, id="nested-too-deeply-to-parse"),
         ],
     )
     def test_malformed_json_is_validation_error(self, text):
@@ -233,6 +236,7 @@ class TestLemma:
                 '{"domain":[0,"a"],"rows":[[1,1],[1,2],[1,3],[2,1],[2,2],[3,1],[3,3],[4,4]]}',
             ),
             ("surplus-bound", '{"poset":{"n":3},"k":2}'),
+            pytest.param("shadow", "[" * 200_000, id="shadow-nested-too-deeply-to-parse"),
         ],
     )
     def test_malformed_payload_is_validation_error(self, lemma, text):
@@ -346,6 +350,19 @@ class TestContracts:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "3 4 5 1 2"
+
+    def test_unwritable_out_is_validation_error(self, tmp_path):
+        argv = ["formula", "--k", "2", "--n", "5", "--out", str(tmp_path / "missing" / "x")]
+        assert run_cli(argv) == (EXIT_VALIDATION, "")
+
+    def test_malformed_environment_fails_before_the_command_runs(self, monkeypatch):
+        monkeypatch.setenv("MONOSEQ_WORKERS", "x")
+        # The oracle on n = 40 would exceed its subset budget (exit 3).
+        line = " ".join(map(str, range(40, 0, -1)))
+        assert run_cli(["count", "--k", "10", "--oracle"], line) == (EXIT_VALIDATION, "")
+        # Text output embeds no config, and still fails the same way.
+        argv = ["construct", "tau", "--k", "2", "--n", "5"]
+        assert run_cli(argv) == (EXIT_VALIDATION, "")
 
     @pytest.mark.parametrize(
         "argv, stdin_text",

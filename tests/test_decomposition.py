@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +12,7 @@ from monoseq.decomposition import (
     verify_example_structure,
 )
 from monoseq.errors import ValidationError
-from monoseq.perms import build_sigma_extremal, build_tau
+from monoseq.perms import Permutation, build_sigma_extremal, build_tau
 from monoseq.posets import (
     antichain_poset,
     chain_poset,
@@ -218,3 +221,35 @@ class TestVerifyExampleStructure:
         P = poset_from_perm(build_sigma_extremal(4, 2))
         assert count_chains_of_size(P, 5) == 7
         assert count_antichains_of_size(P, 5) == 2
+
+    def test_case_two_order_clause_over_s7(self):
+        # Every case-ii poset of S_7 at k = 2, by its path-chain-order outcome.
+        outcomes = Counter()
+        for values in permutations(range(1, 8)):
+            report = verify_example_structure(poset_from_perm(Permutation(values)), 2)
+            if report.case == "ii":
+                clause = next(cl for cl in report.clauses if cl.name == "path-chain-order")
+                outcomes[clause.ok, clause.detail] += 1
+        assert outcomes == {
+            (True, "a path element of A_1 lies below the chain's second element"): 24,
+            (False, "2 maximum chains start at the stray element"): 20,
+            (False, "0 maximum chains start at the stray element"): 16,
+            (False, "no path element of A_1 lies below the chain's second element"): 12,
+        }
+
+    @pytest.mark.parametrize(
+        "line, detail",
+        [
+            ("4 3 5 1 2 6 7", "a path element of A_1 lies below the chain's second element"),
+            ("4 3 5 1 2 7 6", "2 maximum chains start at the stray element"),
+            ("4 3 5 1 6 2 7", "0 maximum chains start at the stray element"),
+            ("4 5 6 2 1 3 7", "no path element of A_1 lies below the chain's second element"),
+        ],
+    )
+    def test_case_two_order_clause_without_a_witness(self, line, detail):
+        P = poset_from_perm(Permutation(tuple(map(int, line.split()))))
+        bare = poset_from_relation(P.n, P.relation_pairs())
+        report = verify_example_structure(bare, 2)
+        assert report == verify_example_structure(P, 2)
+        assert report.case == "ii"
+        assert [cl.detail for cl in report.clauses if cl.name == "path-chain-order"] == [detail]

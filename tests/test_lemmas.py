@@ -153,6 +153,14 @@ class TestDistinguishingSets:
                 cases += 1
         assert cases == 3 + 15 + 255
 
+    def test_staircase_nests_past_the_recursion_limit(self, default_recursion_limit):
+        # Rows e_1 .. e_1100 and 0: each split peels off one row, so the
+        # splits nest 1,100 deep.
+        n = 1100
+        rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n)) + ((0,) * n,)
+        sets = distinguishing_sets(FunctionTable(domain=tuple(range(n)), rows=rows))
+        assert sets == [frozenset({i}) for i in range(n)] + [frozenset()]
+
     def test_random_larger_tables(self):
         rng = random.Random(11)
         for _ in range(300):

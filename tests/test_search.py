@@ -87,6 +87,17 @@ class TestExhaustiveMin:
         with pytest.raises(BudgetExceededError):
             exhaustive_min(8, 2, tight)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_node_budget_is_shared_by_the_prefix_tasks(self, workers):
+        # (8, 2) runs 24 prefix tasks, the largest visiting 1,328 nodes: each
+        # task may visit budget // 24, so 24 * 1,328 = 31,872 is the least
+        # budget that fits, whatever the workers.
+        fits = DEFAULT_BUDGETS.with_overrides(search_state_budget=31_872)
+        assert exhaustive_min(8, 2, fits, workers).states_visited <= 31_872
+        short = DEFAULT_BUDGETS.with_overrides(search_state_budget=31_871)
+        with pytest.raises(BudgetExceededError):
+            exhaustive_min(8, 2, short, workers)
+
     def test_witness_cap_dropped_in_merge_sets_truncated(self):
         # (8, 2) has 6 minimizing orbits, at most 4 in any one prefix task:
         # a cap of 4 truncates only when the tasks' lists are merged.

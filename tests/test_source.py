@@ -23,3 +23,34 @@ def test_no_recursion_limit_changes():
         if "setrecursionlimit" in path.read_text()
     ]
     assert not found, found
+
+
+def _self_recursive_functions(tree: ast.AST, scope: str = "") -> list[str]:
+    """Dotted names of the functions under tree that call themselves by name."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        name = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == node.name
+            for call in ast.walk(node)
+        ):
+            found.append(name)
+        found += _self_recursive_functions(node, name)
+    return found
+
+
+def test_no_new_recursion():
+    # CPython's default recursion limit (1000) caps any recursion by input
+    # size, so src/ recurses only where the depth is at most n and n is
+    # capped by Budgets: the permutation DFS (exhaustive_max_n) and the
+    # poset enumerator (poset_enum_max_n).
+    found = [
+        f"{path.stem}.{name}"
+        for path in sorted(Path(monoseq.__file__).parent.glob("*.py"))
+        for name in _self_recursive_functions(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == ["search._search_task.dfs", "search.min_hk_over_posets.rec"], found
