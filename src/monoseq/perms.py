@@ -13,7 +13,6 @@ minimizers exist too: at k = 2 they appear at n = 8, 9 and 10.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -80,8 +79,6 @@ def parse_permutation(text: str) -> Permutation:
 
 
 def permutation_from_json(data) -> Permutation:
-    if isinstance(data, str):
-        data = json.loads(data)
     if not isinstance(data, dict) or not isinstance(data.get("values"), list):
         raise ValidationError('permutation JSON must be {"n": int, "values": [...]}')
     p = Permutation(tuple(data["values"]))

@@ -23,7 +23,6 @@ partial antichain still short of at least one element.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
@@ -161,8 +160,6 @@ def poset_from_relation(
 
 
 def poset_from_json(data) -> Poset:
-    if isinstance(data, str):
-        data = json.loads(data)
     if not isinstance(data, dict) or "n" not in data:
         raise ValidationError('poset JSON must be {"n": int, "relation": [[i,j],...], ...}')
     n, relation, witness = data["n"], data.get("relation", []), data.get("witness")

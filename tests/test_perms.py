@@ -40,7 +40,7 @@ class TestPermutationType:
     def test_text_and_json_round_trip(self):
         p = build_tau(3, 13)
         assert parse_permutation(p.to_line()) == p
-        assert permutation_from_json(json.dumps(p.to_json_dict())) == p
+        assert permutation_from_json(json.loads(json.dumps(p.to_json_dict()))) == p
 
     def test_json_rejects_inconsistent_n(self):
         with pytest.raises(ValidationError):
