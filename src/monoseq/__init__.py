@@ -22,7 +22,7 @@ from .decomposition import (
     index_sets,
     verify_example_structure,
 )
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, InvariantError, ValidationError
 from .lemmas import (
     FunctionTable,
     LabeledTree,

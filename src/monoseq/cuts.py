@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 from .decomposition import decompose
 from .posets import Poset, dual, height, width
 
@@ -119,7 +119,7 @@ def min_height_reducing_set(P: Poset) -> list[int]:
             removed.add(x)
             remaining -= 1
     if len(chosen) != target:
-        raise AssertionError("greedy cut extraction failed")
+        raise InvariantError("greedy cut extraction failed")
     return chosen
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 from .numeric import log2_upper, sqrt_upper
 from .perms import param_split
 from .posets import (
@@ -220,7 +220,7 @@ def disjoint_chain_cover(P: Poset, i: int, j: int) -> ChainCoverResult:
 
     d = k - len(chains)
     if not violations and dec.sigma[i - 1] < dec.sigma[j - 1] + d:
-        raise AssertionError("chain-cover deficiency bound failed")
+        raise InvariantError("chain-cover deficiency bound failed")
     return ChainCoverResult(chains=chains, d=d, k=k, violations=violations)
 
 

@@ -5,6 +5,10 @@ class ValidationError(ValueError):
     """An input violates a documented precondition or format contract."""
 
 
+class InvariantError(RuntimeError):
+    """A result failed a check the code guarantees: a bug, not bad input."""
+
+
 class BudgetExceededError(RuntimeError):
     """An enumeration exceeded its configured budget.
 

@@ -16,7 +16,7 @@ from math import comb
 from typing import Hashable, Optional
 
 from .decomposition import decompose
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 from .numeric import (
     ceil_pow2_of_sqrt_minus_one,
     exp_neg_upper,
@@ -76,7 +76,7 @@ def lower_shadow(family: SetFamily, b: int) -> SetFamily:
     )
     # |shadow| >= min(|F|/2, 2^b), compared with integers only.
     if 2 * len(shadow) < min(len(family.members), 2 ** (b + 1)):
-        raise AssertionError(
+        raise InvariantError(
             f"shadow bound failed: |shadow|={len(shadow)}, |F|={len(family.members)}, b={b}"
         )
     return SetFamily(ground_size=family.ground_size, members=shadow)
@@ -140,7 +140,7 @@ def distinguishing_sets(table: FunctionTable) -> list[frozenset[Hashable]]:
             if len({rows[i][pos] for i in live}) > 1:
                 break
         else:
-            raise AssertionError("distinct rows must disagree somewhere")
+            raise InvariantError("distinct rows must disagree somewhere")
         classes: dict = {}
         for i in live:
             classes.setdefault(rows[i][pos], []).append(i)
@@ -154,13 +154,13 @@ def distinguishing_sets(table: FunctionTable) -> list[frozenset[Hashable]]:
 
     for i, s in enumerate(sets):
         if (1 << len(s)) > M:
-            raise AssertionError(f"set {i} larger than log2(M): {s}")
+            raise InvariantError(f"set {i} larger than log2(M): {s}")
     dom_index = {x: pos for pos, x in enumerate(domain)}
     for i in range(M):
         for j in range(i + 1, M):
             union = sets[i] | sets[j]
             if all(rows[i][dom_index[x]] == rows[j][dom_index[x]] for x in union):
-                raise AssertionError(f"rows {i} and {j} agree on their union")
+                raise InvariantError(f"rows {i} and {j} agree on their union")
     return [frozenset(s) for s in sets]
 
 
@@ -232,7 +232,7 @@ def count_connected_subsets(tree: LabeledTree, c: int) -> int:
 
     total = sum(poly[x][c] if c < len(poly[x]) else 0 for x in range(t))
     if total < t - c + 1:
-        raise AssertionError(f"connected-set floor failed: {total} < {t - c + 1}")
+        raise InvariantError(f"connected-set floor failed: {total} < {t - c + 1}")
     return total
 
 

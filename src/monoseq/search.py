@@ -35,7 +35,7 @@ from typing import Optional
 
 from .config import DEFAULT_BUDGETS, Budgets
 from .counting import brute_force_count, count_monotone
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, InvariantError, ValidationError
 from .perms import Permutation, build_tau, canonical_form, m_tau_formula
 from .posets import poset_from_relation
 
@@ -218,7 +218,7 @@ def exhaustive_min(
     for w in witnesses:
         oracle = brute_force_count(w, k, budgets)
         if oracle.total != minimum:
-            raise AssertionError(f"witness re-check failed for {w}: {oracle.total} != {minimum}")
+            raise InvariantError(f"witness re-check failed for {w}: {oracle.total} != {minimum}")
         breakdown.append((oracle.increasing, oracle.decreasing))
 
     return SearchResult(
@@ -379,6 +379,26 @@ def _grow(downsets: _DownSets, mask: int, j: int) -> _DownSets:
     return child
 
 
+def _placements(downsets: _DownSets, mask: int, k: int) -> list[int]:
+    """The counts placing j + 1 adds above each key of _grow(downsets, mask, j).
+
+    They follow _grow's key order and read its recurrences at index k
+    without building the map: C_D[k] + A_D[k] + A_{D|mask}[k-1] for each key
+    D, then C_D[k] + C_mask[k-1] + A_D[k] for each key D containing mask.
+    """
+    placed = [
+        chains[k] + antichains[k] + downsets[d | mask][1][k - 1]
+        for d, (chains, antichains) in downsets.items()
+    ]
+    under = downsets[mask][0][k - 1]
+    placed += [
+        chains[k] + under + antichains[k]
+        for d, (chains, antichains) in downsets.items()
+        if d & mask == mask
+    ]
+    return placed
+
+
 @dataclass(frozen=True)
 class PosetSearchResult:
     n: int
@@ -424,6 +444,17 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
     i, so the terms are disjoint, and a child is cut when count + added +
     (n-j-1)*a reaches the incumbent.
 
+    Early cut: a child that survives is scored first, its placement counts
+    read as plain numbers (_placements), and its down-set map is built only
+    if count' + (n-j-1)*a' stays below the incumbent, where count' = count +
+    added and a' is the child's least placement count.  The child's own loop
+    would recurse only when count' + added'' + (n-j-2)*a' is below it, and
+    every added'' >= a', so otherwise no grandchild survives and the
+    incumbent does not move: skipping the child saves only its map, and the
+    DFS order, the minimum and the first minimizer stay the same.  A
+    surviving placement of the last id is a leaf and updates the incumbent
+    at once.
+
     Counts: each closed down-set D of the prefix carries C_D[t], the
     t-chains inside D, and A_D[s], the s-antichains of the prefix outside
     D, so the count placing j above D adds is C_D[k] + A_D[k].  When j goes
@@ -435,7 +466,8 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
     at hand.  D | {j} is closed exactly when D contains M; it keeps A_D and
     gets C'[t] = C_D[t] + C_M[t-1] (the chains that avoid j, and j over a
     chain inside M).  posets_visited counts one per (node, down-set)
-    placement, cut or not.
+    placement when the placement is evaluated, cut or not, so a child
+    skipped by the early cut still counts all of its placements.
 
     At k = 1 every pair is a chain or an antichain, so every order has
     h_1 = C(n,2) and no order is enumerated: the witness is the antichain,
@@ -455,29 +487,33 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
     best_below: Optional[list[int]] = None
     visited = 0
 
-    def rec(j: int, count: int, downsets: _DownSets) -> None:
-        """Enumerate ids j.. given the closed down-sets of ids < j with their counts."""
+    def rec(j: int, count: int, downsets: _DownSets, placed: list[int]) -> None:
+        """Enumerate ids j.. given the closed down-sets of ids < j with their counts.
+
+        placed[i] is the count that placing j above the i-th down-set adds.
+        """
         nonlocal best, best_below, visited
-        if j == n:
-            if count < best:
-                best = count
-                best_below = list(below)
-            return
-        visited += len(downsets)
-        # Placing j above D adds its k-chains in D and its k-antichains outside D.
-        placed = [chains[k] + antichains[k] for chains, antichains in downsets.values()]
         closing = (n - j - 1) * min(placed)
         for mask, added in zip(downsets, placed):
-            if count + added + closing < best:
-                below[j] = mask
-                rec(j + 1, count + added, _grow(downsets, mask, j))
+            if count + added + closing >= best:
+                continue
+            below[j] = mask
+            if j == n - 1:
+                best, best_below = count + added, list(below)
+                continue
+            following = _placements(downsets, mask, k)
+            visited += len(following)
+            if count + added + (n - j - 1) * min(following) < best:
+                rec(j + 1, count + added, _grow(downsets, mask, j), following)
 
     if k == 1:
         best, best_below = n * (n - 1) // 2, [0] * n
     else:
-        rec(0, 0, {0: ([1] + [0] * k, [1] + [0] * k)})
+        # The empty prefix has one down-set, and placing id 0 above it adds nothing.
+        visited = 1
+        rec(0, 0, {0: ([1] + [0] * k, [1] + [0] * k)}, [0])
     if best_below is None:
-        raise AssertionError("no enumerated order reached the m_tau_formula seed")
+        raise InvariantError("no enumerated order reached the m_tau_formula seed")
 
     # Recover the covering pairs of the winning relation.
     pairs = [(i, j) for j in range(n) for i in range(n) if (best_below[j] >> i) & 1]
@@ -489,7 +525,7 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
         perm_minimum = exhaustive_min(n, k, budgets).minimum
         # Every permutation's poset is among the enumerated orders.
         if best > perm_minimum:
-            raise AssertionError(
+            raise InvariantError(
                 f"poset minimum {best} exceeds the permutation minimum {perm_minimum}"
             )
 

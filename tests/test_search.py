@@ -18,8 +18,10 @@ from monoseq.posets import (
     iter_bits,
     poset_from_relation,
 )
+from monoseq import search
 from monoseq.search import (
     _grow,
+    _placements,
     exhaustive_min,
     heuristic_min,
     min_hk_over_posets,
@@ -208,6 +210,33 @@ class TestHeuristicMin:
         assert result.minimum <= m_tau_formula(4, 20)
 
 
+def _reference_poset_minimum(n: int, k: int) -> tuple[int, list[tuple[int, int]], int]:
+    """min_hk_over_posets without the early cut: every surviving placement
+    builds its child's down-set map with _grow, and posets_visited is counted
+    on entering a node.  Returns the minimum, witness relation and count."""
+    below = [0] * n
+    best, best_below, visited = m_tau_formula(k, n) + 1, None, 0
+
+    def rec(j, count, downsets):
+        nonlocal best, best_below, visited
+        if j == n:
+            if count < best:
+                best, best_below = count, list(below)
+            return
+        visited += len(downsets)
+        placed = [chains[k] + antichains[k] for chains, antichains in downsets.values()]
+        closing = (n - j - 1) * min(placed)
+        for mask, added in zip(downsets, placed):
+            if count + added + closing < best:
+                below[j] = mask
+                rec(j + 1, count + added, _grow(downsets, mask, j))
+
+    rec(0, 0, {0: ([1] + [0] * k, [1] + [0] * k)})
+    pairs = [(i, j) for j in range(n) for i in range(n) if best_below[j] >> i & 1]
+    covers = [(i + 1, j + 1) for i, j in poset_from_relation(n, pairs).cover_pairs()]
+    return best, covers, visited
+
+
 class TestMinHkOverPosets:
     def test_two_disjoint_two_chains(self):
         result = min_hk_over_posets(4, 2)
@@ -254,7 +283,8 @@ class TestMinHkOverPosets:
         # by _grow without any cut, once for each k = 2..4.  Each node's keys
         # must be exactly the closed down-sets of its order, in ascending
         # order, and each down-set's vectors must match counts made from
-        # scratch on the induced orders.
+        # scratch on the induced orders.  _placements must read each child's
+        # placement counts, in key order, without building the child.
         ks = (2, 3, 4)
         sizes = range(1, max(ks) + 1)
         stack = [([], [{0: ([1] + [0] * k, [1] + [0] * k)} for k in ks])]
@@ -274,7 +304,11 @@ class TestMinHkOverPosets:
                 assert list(downsets) == closed, below
             if j < 6:
                 for mask in closed:
-                    stack.append((below + [mask], [_grow(m, mask, j) for m in maps]))
+                    grown = [_grow(m, mask, j) for m in maps]
+                    for k, downsets, child in zip(ks, maps, grown):
+                        placed = [c[k] + a[k] for c, a in child.values()]
+                        assert _placements(downsets, mask, k) == placed, (below, mask, k)
+                    stack.append((below + [mask], grown))
 
     def test_longer_vectors_at_k_3_and_4(self):
         # k >= 3 reads the counts past index 2.
@@ -301,6 +335,34 @@ class TestMinHkOverPosets:
             (1, 5), (1, 6), (1, 7), (2, 5), (2, 6), (2, 8),
             (3, 5), (3, 7), (3, 8), (4, 6), (4, 7), (4, 8),
         ]
+        result = min_hk_over_posets(9, 2)
+        assert result.minimum == result.permutation_minimum == 14
+        assert result.posets_visited == 4_097_369
+        assert result.witness_relation == [
+            (1, 6), (1, 7), (1, 8), (1, 9), (2, 6), (2, 7), (2, 8), (3, 6),
+            (3, 7), (3, 9), (4, 6), (4, 8), (4, 9), (5, 7), (5, 8), (5, 9),
+        ]
+
+    def test_early_cut_matches_the_reference(self):
+        # Skipping a child whose placements are all cut must change neither
+        # the DFS order nor the count of evaluated placements.
+        for n, k in [(n, k) for k in (2, 3) for n in range(1, 9)] + [(7, 4)]:
+            result = min_hk_over_posets(n, k)
+            found = (result.minimum, result.witness_relation, result.posets_visited)
+            assert found == _reference_poset_minimum(n, k), (n, k)
+
+    def test_down_set_maps_only_for_surviving_children(self, monkeypatch):
+        # Without the early cut, (8,2) builds 5,313 maps.
+        calls = []
+        grow = search._grow
+
+        def counted(downsets, mask, j):
+            calls.append(j)
+            return grow(downsets, mask, j)
+
+        monkeypatch.setattr(search, "_grow", counted)
+        assert min_hk_over_posets(8, 2).posets_visited == 106_613
+        assert len(calls) == 1_157
 
     def test_size_cap(self):
         with pytest.raises(BudgetExceededError):
