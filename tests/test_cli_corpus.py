@@ -1,0 +1,155 @@
+"""Replay a fixed corpus of CLI invocations and check byte-identical output.
+
+tests/data/cli_corpus.json holds, for each invocation, its argv, stdin and
+MONOSEQ_* environment with the stdout, stderr and exit code it gave when
+recorded.  A refactor must leave every entry unchanged.  A change that
+alters CLI output on purpose re-records the corpus with
+
+    PYTHONPATH=src python tests/test_cli_corpus.py
+
+and says which entries moved and why.
+"""
+
+import functools
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from monoseq.cli import dispatch
+
+CORPUS = Path(__file__).parent / "data" / "cli_corpus.json"
+
+_SIGMA_3_1 = json.dumps(
+    {
+        "n": 13,
+        "relation": [[1, 3], [2, 3], [2, 7], [3, 4], [4, 5], [6, 7], [6, 11], [7, 8], [8, 9],
+                     [10, 11], [11, 12], [12, 13]],
+        "witness": [10, 6, 11, 12, 13, 2, 7, 8, 9, 1, 3, 4, 5],
+    }
+)
+_SIGMA_3_2 = "10 6 11 12 13 3 7 8 9 1 2 4 5"
+_TAU_3_13 = json.dumps(
+    {
+        "n": 13,
+        "relation": [[1, 2], [2, 3], [3, 4], [4, 5], [6, 7], [7, 8], [8, 9], [10, 11], [11, 12],
+                     [12, 13]],
+        "witness": [9, 10, 11, 12, 13, 5, 6, 7, 8, 1, 2, 3, 4],
+    }
+)
+# A witness-free order: a 2+2 with one extra cover and an isolated element.
+_DAG = '{"n": 6, "relation": [[1, 3], [2, 4], [1, 4], [4, 5]]}'
+_CHAIN_10 = {
+    "n": 10,
+    "relation": [[i, i + 1] for i in range(1, 10)],
+    "witness": list(range(1, 11)),
+}
+
+# (argv, stdin, environment) for every recorded invocation.
+CASES = [
+    (["count", "--k", "3"], _SIGMA_3_2, {}),
+    (["count", "--k", "2", "--oracle", "--profile", "3"], "2 1 4 3", {}),
+    (["count", "--k", "2"], '{"n": 5, "values": [3, 1, 5, 2, 4]}', {}),
+    (["count", "--k", "2"], "1 1 2", {}),
+    (["count", "--k", "10", "--oracle"], " ".join(map(str, range(40, 0, -1))), {}),
+    (["construct", "tau", "--k", "3", "--n", "13"], "", {}),
+    (["construct", "sigma", "--k", "3", "--variant", "2", "--json"], "", {}),
+    (["construct", "tau", "--k", "3"], "", {}),
+    (["formula", "--k", "3", "--n", "13"], "", {}),
+    (["formula", "--k", "3", "--n", "9"], "", {}),
+    (["poset", "decompose", "--k", "3"], _SIGMA_3_1, {}),
+    (["poset", "decompose"], _DAG, {}),
+    (["poset", "hk", "--k", "3"], _TAU_3_13, {}),
+    (["poset", "hk", "--k", "2"], _DAG, {}),
+    (["poset", "hk"], _DAG, {}),
+    (["poset", "surplus", "--k", "3"], _TAU_3_13, {}),
+    (
+        ["poset", "prune", "--k", "2", "--t", "1"],
+        '{"n": 3, "relation": [[1, 2], [2, 3]], "witness": [1, 2, 3]}',
+        {},
+    ),
+    (["poset", "prune", "--t", "2"], _DAG, {}),
+    (["poset", "verify-example", "--k", "3"], _SIGMA_3_1, {}),
+    (["lemma", "shadow"], '{"ground_size": 4, "members": [[0, 1], [2, 3]], "b": 1}', {}),
+    (["lemma", "signatures"], '{"domain": [0, 1], "rows": [[1, "a"], [2, "b"]]}', {}),
+    (["lemma", "connected"], '{"t": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]], "c": 3}', {}),
+    (["lemma", "signature-bound"], json.dumps({"poset": _CHAIN_10, "k": 8, "ell": 2}), {}),
+    (
+        ["lemma", "signature-bound"],
+        '{"poset": {"n": 4, "relation": [[1, 2], [2, 4], [3, 4]], "witness": [2, 3, 1, 4]},'
+        ' "k": 2, "ell": 1, "anchor": 3}',
+        {},
+    ),
+    (
+        ["lemma", "surplus-bound"],
+        '{"poset": {"n": 3, "relation": [], "witness": [3, 2, 1]}, "k": 2, "t": 1}',
+        {},
+    ),
+    (["lemma", "surplus-bound"], json.dumps({"poset": _CHAIN_10, "k": 8, "t": 50}), {}),
+    (["search", "exhaustive", "--n", "4", "--k", "1"], "", {}),
+    (["search", "exhaustive", "--n", "5", "--k", "2"], "", {}),
+    (["search", "exhaustive", "--n", "6", "--k", "2"], "", {}),
+    (["search", "exhaustive", "--n", "7", "--k", "2"], "", {}),
+    (["search", "exhaustive", "--n", "8", "--k", "2"], "", {}),
+    (["search", "exhaustive", "--n", "7", "--k", "3"], "", {}),
+    (["search", "exhaustive", "--n", "8", "--k", "3"], "", {}),
+    (["search", "exhaustive", "--n", "6", "--k", "2", "--format", "csv"], "", {}),
+    (["--workers", "2", "search", "exhaustive", "--n", "7", "--k", "2"], "", {}),
+    (["search", "posets", "--n", "4", "--k", "1"], "", {}),
+    (["search", "posets", "--n", "5", "--k", "2"], "", {}),
+    (["search", "posets", "--n", "6", "--k", "2"], "", {}),
+    (["search", "posets", "--n", "7", "--k", "2"], "", {}),
+    (["search", "posets", "--n", "7", "--k", "3"], "", {}),
+    (["search", "heuristic", "--n", "13", "--k", "3", "--trials", "2", "--seed", "5"], "", {}),
+    (["--budget", "10", "search", "exhaustive", "--n", "8", "--k", "2"], "", {}),
+    (["search", "exhaustive", "--n", "8", "--k", "2"], "", {"MONOSEQ_BUDGET": "10"}),
+    (["search", "exhaustive", "--n", "12", "--k", "2"], "", {}),
+    (["search", "posets", "--n", "10", "--k", "2"], "", {}),
+    (["repro", "--quick"], "", {}),
+    (["no-such-command"], "", {}),
+]
+
+
+def run(argv, stdin_text, env):
+    """One in-process dispatch with only the given MONOSEQ_* variables set.
+
+    COLUMNS is pinned because argparse wraps its usage text to it."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), mock.patch.object(sys, "stdin", io.StringIO(stdin_text)):
+        for name in ("MONOSEQ_WORKERS", "MONOSEQ_BUDGET"):
+            os.environ.pop(name, None)
+        os.environ.update(env, COLUMNS="80")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = dispatch(argv)
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@functools.cache
+def _recorded():
+    return json.loads(CORPUS.read_text())
+
+
+@pytest.mark.parametrize("i", range(len(CASES)), ids=lambda i: " ".join(CASES[i][0]))
+def test_corpus_entry_is_reproduced(i):
+    argv, stdin_text, env = CASES[i]
+    entry = _recorded()[i]
+    assert (entry["argv"], entry["stdin"], entry["env"]) == (argv, stdin_text, env)
+    assert run(argv, stdin_text, env) == {key: entry[key] for key in ("code", "stdout", "stderr")}
+
+
+def record() -> None:
+    entries = [
+        {"argv": argv, "stdin": stdin_text, "env": env, **run(argv, stdin_text, env)}
+        for argv, stdin_text, env in CASES
+    ]
+    CORPUS.parent.mkdir(exist_ok=True)
+    CORPUS.write_text(json.dumps(entries, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    record()
