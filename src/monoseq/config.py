@@ -1,7 +1,13 @@
-"""Enumeration budgets and other tunable limits.
+"""The caps a caller may set on a run.
 
-All caps live in one frozen dataclass so that callers (library, CLI, tests)
-can thread a single object through and runs stay reproducible.
+Budgets holds only the limits that a caller turns: the search node cap,
+set by ``--budget`` or ``MONOSEQ_BUDGET``, and the poset enumerator's size
+cap, which a caller raises to run one larger poset search.  One frozen
+object threads both through a run, so the CLI can report the values it
+used and a run stays reproducible.  The fixed limits live beside the one
+check that reads each: ``counting.SUBSET_BUDGET``,
+``posets.ANTICHAIN_NODE_BUDGET``, ``search.EXHAUSTIVE_MAX_N`` and
+``search.WITNESS_CAP``.
 """
 
 from __future__ import annotations
@@ -11,21 +17,12 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Budgets:
-    # Largest number of subsets a brute-force subsequence count may visit.
-    subset_budget: int = 2_000_000
-    # Largest number of backtracking nodes one antichain count on a
-    # witness-free poset may visit.
-    antichain_node_budget: int = 5_000_000
-    # Largest n accepted by the exhaustive permutation search.
-    exhaustive_max_n: int = 11
     # Node cap for one exhaustive search run.  Each of its prefix tasks may
     # visit an equal share, budget // tasks, so the run as a whole stays
     # within the cap and the outcome does not depend on the workers.
     search_state_budget: int = 1_000_000_000
     # Largest n accepted by the exhaustive poset search.
     poset_enum_max_n: int = 9
-    # Minimizing witnesses kept per exhaustive run.
-    witness_cap: int = 10_000
 
     def with_overrides(self, **kwargs) -> "Budgets":
         return replace(self, **kwargs)

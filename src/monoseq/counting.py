@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .config import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceededError, ValidationError
 from .perms import Permutation
+
+# Largest number of subsets a brute-force subsequence count may visit.
+SUBSET_BUDGET = 2_000_000
 
 
 class _Fenwick:
@@ -120,17 +122,17 @@ def count_monotone(p: Permutation, k: int) -> CountReport:
     )
 
 
-def brute_force_count(p: Permutation, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> CountReport:
+def brute_force_count(p: Permutation, k: int) -> CountReport:
     """Subset-enumeration oracle with the same contract as count_monotone."""
     if k < 1:
         raise ValidationError("k must be >= 1")
     n, m = p.n, k + 1
     work = comb(n, m)
-    if work > budgets.subset_budget:
+    if work > SUBSET_BUDGET:
         raise BudgetExceededError(
             f"C({n},{m}) = {work} subsets exceed the enumeration budget",
             needed=work,
-            budget=budgets.subset_budget,
+            budget=SUBSET_BUDGET,
         )
     # The values are distinct, so a subset is increasing exactly when it
     # equals its sorted order, and decreasing exactly when its reverse does.

@@ -38,26 +38,26 @@ def sqrt_lower(x: int) -> Fraction:
     return Fraction(isqrt(x * scale * scale), scale)
 
 
-def log2_lower(x: int, denom: int = _LOG2_DENOM) -> Fraction:
+def log2_lower(x: int) -> Fraction:
     """Rational lower bound on log2(x) for a positive integer x.
 
-    Uses 2**a <= x**denom, so the bound is exact for powers of two.
+    Uses 2**a <= x**_LOG2_DENOM, so the bound is exact for powers of two.
     """
     if x < 1:
         raise ValidationError("log2_lower: argument must be positive")
-    a = (x**denom).bit_length() - 1
-    return Fraction(a, denom)
+    a = (x**_LOG2_DENOM).bit_length() - 1
+    return Fraction(a, _LOG2_DENOM)
 
 
-def log2_upper(x: int, denom: int = _LOG2_DENOM) -> Fraction:
+def log2_upper(x: int) -> Fraction:
     """Rational upper bound on log2(x) for a positive integer x."""
     if x < 1:
         raise ValidationError("log2_upper: argument must be positive")
-    p = x**denom
+    p = x**_LOG2_DENOM
     a = p.bit_length() - 1
     if (1 << a) < p:
         a += 1
-    return Fraction(a, denom)
+    return Fraction(a, _LOG2_DENOM)
 
 
 def exp_lower(x: Fraction) -> Fraction:
@@ -77,12 +77,42 @@ def exp_neg_upper(x: Fraction) -> Fraction:
     return 1 / exp_lower(x)
 
 
+def _scaled_log2_bounds(m: int, bits: int) -> tuple[int, int]:
+    """Integers lo, hi with lo <= log2(m) * 2**bits <= hi, for an integer m >= 1.
+
+    log2(m) = e + log2(y) with y = m / 2**e in [1, 2).  Squaring y shifts
+    the binary digits of log2(y) one place left, and y**2 >= 2 reads off a
+    digit 1, after which y is halved.  y is carried in fixed point, once
+    rounded down and once rounded up: the rounded-down copy can only read
+    digits too small and the rounded-up copy, which stays at most 2, can
+    only fall short by less than one unit in the last place.
+    """
+    e = m.bit_length() - 1
+    prec = bits + 32
+    two = 2 << prec
+    lo = (m << prec) >> e
+    hi = -((-m << prec) >> e)
+    digits_lo = digits_hi = 0
+    for _ in range(bits):
+        lo = lo * lo >> prec
+        hi = -(-hi * hi >> prec)
+        digits_lo, digits_hi = 2 * digits_lo, 2 * digits_hi
+        if lo >= two:
+            digits_lo, lo = digits_lo + 1, lo >> 1
+        if hi >= two:
+            digits_hi, hi = digits_hi + 1, -(-hi >> 1)
+    return (e << bits) + digits_lo, (e << bits) + digits_hi + 1
+
+
 def ceil_pow2_of_sqrt_minus_one(t: int) -> int:
     """ceil(2 ** (sqrt(t) - 1)) computed exactly for a positive integer t.
 
-    For square t the value is an exact power of two.  Otherwise sqrt(t) is
-    irrational, so the ceiling is certified by strict comparisons with
-    rational log2 bounds, tightening the precision until they separate.
+    For square t the value is an exact power of two.  Otherwise, with
+    s = isqrt(t), it lies strictly between 2**(s-1) and 2**s, and the
+    ceiling is the least integer c there with log2(2c) > sqrt(t), found by
+    bisection.  log2(2c) never equals sqrt(t): 2**sqrt(t) is transcendental
+    (Gelfond-Schneider).  Each test compares integer bounds on both sides
+    scaled by 2**bits, sqrt(t) by isqrt, and doubles bits until they part.
     """
     if t < 1:
         raise ValidationError("threshold defined for positive t only")
@@ -90,20 +120,23 @@ def ceil_pow2_of_sqrt_minus_one(t: int) -> int:
     if s * s == t:
         return 1 << (s - 1)
 
-    def certified(c: int, denom: int) -> bool:
-        # c is the ceiling iff (log2(c-1)+1)^2 < t < (log2(c)+1)^2.
-        above = (log2_lower(c, denom) + 1) ** 2 > t
-        below = c == 1 or (log2_upper(c - 1, denom) + 1) ** 2 < t
-        return above and below
+    def above(c: int) -> bool:
+        bits = 16
+        while True:
+            # sqrt(t) * 2**bits lies strictly between r and r + 1.
+            r = isqrt(t << 2 * bits)
+            lo, hi = _scaled_log2_bounds(2 * c, bits)
+            if lo > r:
+                return True
+            if hi <= r:
+                return False
+            bits *= 2
 
-    c = max(1, round(2.0 ** (t**0.5 - 1.0)))
-    denom = _LOG2_DENOM
-    while denom <= 1 << 16:
-        while (log2_upper(c, denom) + 1) ** 2 < t:
-            c += 1
-        while c > 1 and (log2_lower(c - 1, denom) + 1) ** 2 > t:
-            c -= 1
-        if certified(c, denom):
-            return c
-        denom *= 4
-    raise ValidationError("could not certify ceiling at available precision")
+    low, high = 1 << (s - 1), 1 << s  # above(low) is False, above(high) True
+    while high - low > 1:
+        mid = (low + high) // 2
+        if above(mid):
+            high = mid
+        else:
+            low = mid
+    return high

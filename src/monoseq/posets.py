@@ -17,7 +17,7 @@ dimension-2 case.
 
 Without a witness, chains are counted by a predecessor DP and antichains
 by a bitmask backtracking count.  It counts the last element of each
-antichain by popcount, so one node of ``antichain_node_budget`` is one
+antichain by popcount, so one node of ``ANTICHAIN_NODE_BUDGET`` is one
 partial antichain still short of at least one element.
 """
 
@@ -27,10 +27,13 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .config import DEFAULT_BUDGETS, Budgets
 from .counting import count_increasing_exact
 from .errors import BudgetExceededError, ValidationError
 from .perms import Permutation
+
+# Largest number of backtracking nodes one antichain count on a witness-free
+# poset may visit.
+ANTICHAIN_NODE_BUDGET = 5_000_000
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -357,7 +360,7 @@ def _chains_by_maximum(P: Poset, top: int) -> Iterator[list[int]]:
         yield current
 
 
-def count_antichains_of_size(P: Poset, m: int, budgets: Budgets = DEFAULT_BUDGETS) -> int:
+def count_antichains_of_size(P: Poset, m: int) -> int:
     """Exact number of m-element antichains.
 
     With a witness these are the witness's decreasing m-subsequences, counted
@@ -375,7 +378,6 @@ def count_antichains_of_size(P: Poset, m: int, budgets: Budgets = DEFAULT_BUDGET
     # Sets are built from the highest id down: choosing i leaves the smaller
     # candidates not related to i.  A branch stops as soon as fewer
     # candidates are left than ids are needed.
-    budget = budgets.antichain_node_budget
     nodes = 0
     total = 0
     stack = [((1 << P.n) - 1, m)]
@@ -386,9 +388,11 @@ def count_antichains_of_size(P: Poset, m: int, budgets: Budgets = DEFAULT_BUDGET
             continue
         while cand.bit_count() >= left:
             nodes += 1
-            if nodes > budget:
+            if nodes > ANTICHAIN_NODE_BUDGET:
                 raise BudgetExceededError(
-                    "antichain enumeration exceeded its node budget", needed=nodes, budget=budget
+                    "antichain enumeration exceeded its node budget",
+                    needed=nodes,
+                    budget=ANTICHAIN_NODE_BUDGET,
                 )
             i = cand.bit_length() - 1
             cand ^= 1 << i
@@ -396,11 +400,11 @@ def count_antichains_of_size(P: Poset, m: int, budgets: Budgets = DEFAULT_BUDGET
     return total
 
 
-def h_k(P: Poset, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> int:
+def h_k(P: Poset, k: int) -> int:
     """Number of homogenous (k+1)-sets: chains plus antichains of size k+1."""
     if k < 1:
         raise ValidationError("k must be >= 1")
-    return count_chains_of_size(P, k + 1) + count_antichains_of_size(P, k + 1, budgets)
+    return count_chains_of_size(P, k + 1) + count_antichains_of_size(P, k + 1)
 
 
 def surplus(P: Poset, k: int) -> int:

@@ -28,9 +28,8 @@ its O(k) count updates.
 from __future__ import annotations
 
 import random
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .config import DEFAULT_BUDGETS, Budgets
@@ -38,6 +37,11 @@ from .counting import brute_force_count, count_monotone
 from .errors import BudgetExceededError, InvariantError, ValidationError
 from .perms import Permutation, build_tau, canonical_form, m_tau_formula
 from .posets import poset_from_relation
+
+# Largest n accepted by the exhaustive permutation search.
+EXHAUSTIVE_MAX_N = 11
+# Minimizing witnesses kept per exhaustive run.
+WITNESS_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,6 @@ class SearchResult:
     witnesses: list[Permutation]
     type_breakdown: list[tuple[int, int]]
     states_visited: int
-    elapsed_seconds: float = field(compare=False)
     is_upper_bound: bool = False
     witnesses_truncated: bool = False
 
@@ -168,8 +171,8 @@ def exhaustive_min(
 
     Visits one representative per symmetry orbit (up to the prefix rules),
     re-verifies every reported witness with the subset-enumeration oracle,
-    and raises if the configured budgets are exceeded.  At most witness_cap
-    minimizing orbits are kept; witnesses_truncated is set whenever any
+    and raises if the node budget or EXHAUSTIVE_MAX_N is exceeded.  At most
+    WITNESS_CAP minimizing orbits are kept; witnesses_truncated is set whenever any
     other minimizing orbit was found and dropped.
 
     k = 1 is answered in closed form: every permutation has C(n,2)
@@ -178,20 +181,19 @@ def exhaustive_min(
     """
     if n < 1 or k < 1:
         raise ValidationError("n and k must be positive")
-    if n > budgets.exhaustive_max_n:
+    if n > EXHAUSTIVE_MAX_N:
         raise BudgetExceededError(
-            f"n = {n} exceeds the exhaustive search cap {budgets.exhaustive_max_n}",
+            f"n = {n} exceeds the exhaustive search cap {EXHAUSTIVE_MAX_N}",
             needed=n,
-            budget=budgets.exhaustive_max_n,
+            budget=EXHAUSTIVE_MAX_N,
         )
     if workers < 1:
         raise ValidationError("workers must be >= 1")
 
-    start = time.perf_counter()
     bound = m_tau_formula(k, n)
     prefixes = _prefixes(n)
     share = budgets.search_state_budget // len(prefixes)
-    tasks = [(n, k, prefix, bound, share, budgets.witness_cap) for prefix in prefixes]
+    tasks = [(n, k, prefix, bound, share, WITNESS_CAP) for prefix in prefixes]
     if k == 1:
         # Every pair is monotone, so each permutation counts C(n,2) = bound.
         # The identity is the least orbit representative; S_n has more than
@@ -200,7 +202,9 @@ def exhaustive_min(
     elif workers == 1:
         outcomes = [_search_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # A forked pool starts all of its workers at the first submit, so it
+        # gets no more workers than there are tasks.
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             outcomes = list(pool.map(_search_task, tasks, chunksize=1))
 
     minimum = min(o[0] for o in outcomes)
@@ -209,14 +213,14 @@ def exhaustive_min(
     for o in outcomes:
         if o[0] == minimum:
             merged.update(o[1])
-    # Each task keeps up to witness_cap orbits, so the merge can drop some too.
-    truncated = any(o[3] for o in outcomes) or len(merged) > budgets.witness_cap
-    witness_words = sorted(merged)[: budgets.witness_cap]
+    # Each task keeps up to WITNESS_CAP orbits, so the merge can drop some too.
+    truncated = any(o[3] for o in outcomes) or len(merged) > WITNESS_CAP
+    witness_words = sorted(merged)[:WITNESS_CAP]
     witnesses = [Permutation(w) for w in witness_words]
 
     breakdown = []
     for w in witnesses:
-        oracle = brute_force_count(w, k, budgets)
+        oracle = brute_force_count(w, k)
         if oracle.total != minimum:
             raise InvariantError(f"witness re-check failed for {w}: {oracle.total} != {minimum}")
         breakdown.append((oracle.increasing, oracle.decreasing))
@@ -228,7 +232,6 @@ def exhaustive_min(
         witnesses=witnesses,
         type_breakdown=breakdown,
         states_visited=states,
-        elapsed_seconds=time.perf_counter() - start,
         witnesses_truncated=truncated,
     )
 
@@ -308,7 +311,6 @@ def heuristic_min(
     if n < 1 or k < 1:
         raise ValidationError("n and k must be positive")
     rng = random.Random(seed)
-    start = time.perf_counter()
     evaluations = 0
 
     def value(word: tuple[int, ...]) -> int:
@@ -347,7 +349,6 @@ def heuristic_min(
         witnesses=[witness],
         type_breakdown=[(report.increasing, report.decreasing)],
         states_visited=evaluations,
-        elapsed_seconds=time.perf_counter() - start,
         is_upper_bound=True,
     )
 
@@ -407,7 +408,6 @@ class PosetSearchResult:
     witness_relation: list[tuple[int, int]]  # covering pairs, 1-based
     posets_visited: int
     permutation_minimum: Optional[int]
-    elapsed_seconds: float = field(compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -481,7 +481,6 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
             needed=n,
             budget=budgets.poset_enum_max_n,
         )
-    start = time.perf_counter()
     below = [0] * n
     best = m_tau_formula(k, n) + 1
     best_below: Optional[list[int]] = None
@@ -521,7 +520,7 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
     covers = [(i + 1, j + 1) for i, j in witness_poset.cover_pairs()]
 
     perm_minimum: Optional[int] = None
-    if n <= budgets.exhaustive_max_n:
+    if n <= EXHAUSTIVE_MAX_N:
         perm_minimum = exhaustive_min(n, k, budgets).minimum
         # Every permutation's poset is among the enumerated orders.
         if best > perm_minimum:
@@ -536,5 +535,4 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
         witness_relation=covers,
         posets_visited=visited,
         permutation_minimum=perm_minimum,
-        elapsed_seconds=time.perf_counter() - start,
     )

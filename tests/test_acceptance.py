@@ -122,13 +122,13 @@ def test_04_classification():
     # The paper promises the clause only for sufficiently large k, a range
     # the repo cannot bound.  k = 3 is the smallest k at which the
     # single-type clause holds at every length the search reaches
-    # (exhaustive_max_n = 11 blocks (12, 3)); at k = 2 it fails at
+    # (EXHAUSTIVE_MAX_N = 11 blocks (12, 3)); at k = 2 it fails at
     # n = 8, 9, 10, so those rows are reported, not asserted.
     start = time.perf_counter()
     special = _theorem_report(7, 2)
     # At k = 2 the split check cannot fail: inc + dec = 2k+1 = 5 forces
     # max(inc, dec) >= 3 = 2k-1.  The row where it can fail, (13, 3), needs
-    # a completion bound and a larger exhaustive_max_n.
+    # a completion bound and a larger EXHAUSTIVE_MAX_N.
     special_ok = (
         special.match
         and special.mixed_count > 0

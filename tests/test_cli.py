@@ -146,6 +146,22 @@ class TestPoset:
         _, out = run_cli(["poset", "surplus", "--k", "3"], stdin_text=text)
         assert json.loads(out)["surplus"] == -2
 
+    def test_input_file_reads_like_stdin(self, tmp_path):
+        text = poset_input(poset_from_perm(build_tau(2, 7)))
+        path = tmp_path / "poset.json"
+        path.write_text(text)
+        from_file = run_cli(["poset", "hk", "--k", "2", "--input", str(path)])
+        from_stdin = run_cli(["poset", "hk", "--k", "2"], stdin_text=text)
+        assert from_file[0] == EXIT_OK
+        # The embedded config names the --input file; nothing else differs.
+        payload = json.loads(from_file[1])
+        del payload["config"]["flags"]["input"]
+        assert payload == json.loads(from_stdin[1])
+
+    def test_action_without_its_flag_is_validation_error(self):
+        text = poset_input(poset_from_perm(build_tau(2, 7)))
+        assert run_cli(["poset", "hk"], stdin_text=text) == (EXIT_VALIDATION, "")
+
     def test_prune_trace(self):
         P = poset_from_perm(parse_permutation("1 2 3"))
         code, out = run_cli(
@@ -210,6 +226,25 @@ class TestLemma:
         code, out = run_cli(["lemma", "signature-bound"], stdin_text=json.dumps(payload))
         report = json.loads(out)["report"]
         assert report["preconditions_hold"] and report["satisfied"]
+
+    def test_signature_bound_anchor_off_every_maximum_chain(self):
+        # Height 3 through 2 < 3 < 4; the element at position 3 lies only below 4.
+        P = poset_from_perm(parse_permutation("2 3 1 4"))
+        payload = {"poset": P.to_json_dict(), "k": 2, "ell": 1, "anchor": 3}
+        code, out = run_cli(["lemma", "signature-bound"], stdin_text=json.dumps(payload))
+        report = json.loads(out)["report"]
+        assert code == EXIT_OK
+        assert report["max_chain_count"] == "0" and not report["preconditions_hold"]
+        assert report["precondition_detail"] == "no maximum chains (M = 0)"
+
+    def test_surplus_bound_at_a_threshold_the_float_seed_missed(self):
+        # t = 108 is the least t whose 2 ** (sqrt(t) - 1) ceiling a float
+        # seed with rational log2 bounds failed to certify.
+        P = poset_from_perm(parse_permutation("3 2 1"))
+        payload = {"poset": P.to_json_dict(), "k": 2, "t": 108}
+        code, out = run_cli(["lemma", "surplus-bound"], stdin_text=json.dumps(payload))
+        assert code == EXIT_OK
+        assert json.loads(out)["report"]["threshold"] == "672"
 
     def test_surplus_bound(self):
         P = poset_from_perm(parse_permutation("3 2 1"))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoseq.config import DEFAULT_BUDGETS
+from monoseq import counting
 from monoseq.counting import (
     brute_force_count,
     count_increasing_exact,
@@ -76,10 +76,10 @@ class TestBruteForce:
         for k in (2, 3):
             assert brute_force_count(build_tau(k, k * k), k).total == 0
 
-    def test_budget_error_reports_size(self):
-        tight = DEFAULT_BUDGETS.with_overrides(subset_budget=10)
+    def test_budget_error_reports_size(self, monkeypatch):
+        monkeypatch.setattr(counting, "SUBSET_BUDGET", 10)
         with pytest.raises(BudgetExceededError) as info:
-            brute_force_count(identity(10), 2, tight)
+            brute_force_count(identity(10), 2)
         assert info.value.needed == comb(10, 3)
 
 

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import permutations
 
@@ -23,7 +24,7 @@ from monoseq.posets import (
     poset_from_relation,
 )
 
-from conftest import permutations_st, random_dag
+from conftest import permutations_st, random_dag, random_permutation
 
 
 class TestDecompose:
@@ -129,6 +130,38 @@ class TestIndexSets:
     def test_surplus_field(self):
         P = poset_from_perm(build_tau(3, 13))
         assert index_sets(P, 3).surplus == -2
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_primed_sets_match_their_definitions(self, seed):
+        # Random permutations of 30 at k = 3 have nonempty f_prime, so
+        # f_double_prime is built too.  Levels and u are recounted from the
+        # order alone: level(x) is the longest chain ending at x, and u(x)
+        # the chains of h - level(x) + 1 elements with minimum x.
+        P = poset_from_perm(random_permutation(random.Random(seed), 30))
+        k, n = 3, P.n
+        level = [0] * n
+        for x in sorted(range(n), key=lambda x: P.below[x].bit_count()):
+            level[x] = 1 + max((level[y] for y in range(n) if P.less(y, x)), default=0)
+        h = max(level)
+        chains = [[1] * n]  # chains[m - 1][x]: chains of m elements with minimum x
+        for _ in range(h - 1):
+            last = chains[-1]
+            chains.append([sum(last[y] for y in range(n) if P.less(x, y)) for x in range(n)])
+        u = [chains[h - level[x]][x] for x in range(n)]
+
+        def size(i, least_u=0):
+            return sum(1 for x in range(n) if level[x] == i and u[x] >= least_u)
+
+        f_prime = {i for i in range(1, h) if size(i) - size(i, 1) + size(i + 1, 1) >= k + 1}
+        f_double_prime = {
+            i
+            for i in range(1, max(f_prime))
+            if size(i) - size(i, 2) + size(i + 1, 2) >= k + 1
+        }
+        ix = index_sets(P, k)
+        assert f_double_prime and (ix.f_prime, ix.f_double_prime) == (f_prime, f_double_prime)
+        if seed == 1:
+            assert (f_prime, f_double_prime) == ({1, 2, 3, 4}, {1, 2, 3})
 
     def test_threshold_absent_in_degenerate_range(self):
         assert index_sets(poset_from_perm(build_tau(3, 12)), 3).s is None

@@ -1,7 +1,8 @@
 import random
+from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
-from math import comb, exp, log2, sqrt
+from math import comb, exp, isqrt, log2, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from monoseq.lemmas import (
     surplus_conclusion_check,
 )
 from monoseq.numeric import (
+    _scaled_log2_bounds,
     ceil_pow2_of_sqrt_minus_one,
     exp_lower,
     exp_neg_upper,
@@ -56,11 +58,27 @@ class TestNumericBounds:
         assert float(exp_lower(x)) <= exp(float(x)) + 1e-12
         assert float(exp_neg_upper(x)) >= exp(-float(x)) - 1e-12
 
+    @pytest.mark.parametrize("bits", [1, 2, 5, 8])
+    def test_scaled_log2_bounds(self, bits):
+        # lo <= log2(m) * 2**bits <= hi  <=>  2**lo <= m**(2**bits) <= 2**hi
+        for m in list(range(1, 70)) + [2**20 - 1, 2**20, 3**13, 10**6 + 3]:
+            lo, hi = _scaled_log2_bounds(m, bits)
+            power = m ** (2**bits)
+            assert 2**lo <= power <= 2**hi and hi - lo <= 2, (m, lo, hi)
+
     def test_threshold_ceiling(self):
-        for t in range(1, 40):
-            exact = 2 ** (sqrt(t) - 1)
-            got = ceil_pow2_of_sqrt_minus_one(t)
-            assert got - 1 < exact <= got, (t, got, exact)
+        # An 80-digit decimal reference; 2 ** (sqrt(t) - 1) is an integer
+        # only at square t, and elsewhere stays far from one at this precision.
+        with localcontext() as ctx:
+            ctx.prec = 80
+            for t in range(1, 1001):
+                s = isqrt(t)
+                if s * s == t:
+                    expected = 2 ** (s - 1)
+                else:
+                    power = ((Decimal(t).sqrt() - 1) * Decimal(2).ln()).exp()
+                    expected = int(power.to_integral_value(rounding=ROUND_CEILING))
+                assert ceil_pow2_of_sqrt_minus_one(t) == expected, t
 
 
 class TestLowerShadow:

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoseq.config import DEFAULT_BUDGETS
 from monoseq.counting import count_monotone
 from monoseq.errors import BudgetExceededError, ValidationError
 from monoseq.perms import Permutation, build_sigma_extremal, build_tau, identity
+from monoseq import posets
 from monoseq.posets import (
     Poset,
     antichain_poset,
@@ -254,11 +254,11 @@ class TestAntichainCounting:
                 )
                 assert count_antichains_of_size(P, m) == expected, (P.relation_pairs(), m)
 
-    def test_witness_free_budget_error(self):
+    def test_witness_free_budget_error(self, monkeypatch):
         stripped = poset_from_relation(12, [])
-        tight = DEFAULT_BUDGETS.with_overrides(antichain_node_budget=5)
+        monkeypatch.setattr(posets, "ANTICHAIN_NODE_BUDGET", 5)
         with pytest.raises(BudgetExceededError):
-            count_antichains_of_size(stripped, 6, tight)
+            count_antichains_of_size(stripped, 6)
 
 
 class TestHomogenousCount:

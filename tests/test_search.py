@@ -74,6 +74,44 @@ class TestExhaustiveMin:
             b.states_visited,
         )
 
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
+        # (6, 2) has 13 prefix tasks; a pool started on fork launches all of
+        # its workers at once, so 64 workers must ask for 13 processes.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+        wide = exhaustive_min(6, 2, workers=64)
+        assert sizes == [13]
+        assert wide == exhaustive_min(6, 2, workers=1)
+
+    def test_a_loose_seed_is_lowered_to_the_same_minimizers(self):
+        # The m_tau seed is tight at every n the search reaches, so no task
+        # ever lowers its incumbent.  Seeded 3 above it, the (7, 2) tasks
+        # lower theirs and must still end with the same minimum and witnesses.
+        loose = m_tau_formula(2, 7) + 3
+        outcomes = [
+            search._search_task((7, 2, prefix, loose, 10**9, search.WITNESS_CAP))
+            for prefix in search._prefixes(7)
+        ]
+        minimum = min(best for best, *_ in outcomes)
+        merged = {w for best, words, *_ in outcomes if best == minimum for w in words}
+        exact = exhaustive_min(7, 2)
+        assert minimum == exact.minimum == 5
+        assert merged == {w.values for w in exact.witnesses}
+
     def test_visit_counts_are_pinned(self):
         # Frozen visit counts: a change to how a node is evaluated must not
         # change which nodes the search visits.
@@ -100,13 +138,15 @@ class TestExhaustiveMin:
         with pytest.raises(BudgetExceededError):
             exhaustive_min(8, 2, short, workers)
 
-    def test_witness_cap_dropped_in_merge_sets_truncated(self):
+    def test_witness_cap_dropped_in_merge_sets_truncated(self, monkeypatch):
         # (8, 2) has 6 minimizing orbits, at most 4 in any one prefix task:
         # a cap of 4 truncates only when the tasks' lists are merged.
-        capped = exhaustive_min(8, 2, DEFAULT_BUDGETS.with_overrides(witness_cap=4))
+        monkeypatch.setattr(search, "WITNESS_CAP", 4)
+        capped = exhaustive_min(8, 2)
         assert len(capped.witnesses) == 4
         assert capped.witnesses_truncated
-        exact = exhaustive_min(8, 2, DEFAULT_BUDGETS.with_overrides(witness_cap=6))
+        monkeypatch.setattr(search, "WITNESS_CAP", 6)
+        exact = exhaustive_min(8, 2)
         assert len(exact.witnesses) == 6
         assert not exact.witnesses_truncated
 
@@ -158,18 +198,21 @@ class TestVerifyTheorem:
         assert search.minimum == minimum
         assert {w.values for w in search.witnesses} == orbits
 
-    def test_truncated_witnesses_leave_the_clauses_unchecked(self):
+    def test_truncated_witnesses_leave_the_clauses_unchecked(self, monkeypatch):
         # The 2 least of the 6 orbits at (8, 2) are single type; 3 of the
         # dropped ones are mixed.
-        report = verify_theorem(8, 2, DEFAULT_BUDGETS.with_overrides(witness_cap=2))
+        monkeypatch.setattr(search, "WITNESS_CAP", 2)
+        report = verify_theorem(8, 2)
         assert report.witnesses_truncated and report.mixed_count == 0
         assert report.all_single_type is None
         # A kept mixed witness still settles the clause.
-        report = verify_theorem(8, 2, DEFAULT_BUDGETS.with_overrides(witness_cap=3))
+        monkeypatch.setattr(search, "WITNESS_CAP", 3)
+        report = verify_theorem(8, 2)
         assert report.witnesses_truncated and report.mixed_count == 1
         assert report.all_single_type is False
         # At the special length the split clause is unchecked the same way.
-        report = verify_theorem(7, 2, DEFAULT_BUDGETS.with_overrides(witness_cap=1))
+        monkeypatch.setattr(search, "WITNESS_CAP", 1)
+        report = verify_theorem(7, 2)
         assert report.witnesses_truncated and report.mixed_count == 0
         assert report.mixed_split_ok is None
 

@@ -51,8 +51,8 @@ def _self_recursive_functions(tree: ast.AST, scope: str = "") -> list[str]:
 def test_no_new_recursion():
     # CPython's default recursion limit (1000) caps any recursion by input
     # size, so src/ recurses only where the depth is at most n and n is
-    # capped by Budgets: the permutation DFS (exhaustive_max_n) and the
-    # poset enumerator (poset_enum_max_n).
+    # capped: the permutation DFS by search.EXHAUSTIVE_MAX_N and the poset
+    # enumerator by Budgets.poset_enum_max_n.
     found = [
         f"{path.stem}.{name}"
         for path in sorted(Path(monoseq.__file__).parent.glob("*.py"))
