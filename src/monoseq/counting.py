@@ -1,11 +1,15 @@
 """Exact counting of monotone subsequences of a fixed length.
 
-One private kernel counts the increasing subsequences of every length up to
-a cap, one layer at a time over a value-indexed binary indexed tree
-(O(n * L * log n) big-integer additions).  Decreasing counts run the same
-kernel on the position-reversed permutation, and the chains and antichains
-of a dimension-2 poset (``monoseq.posets``) run it on the poset's witness,
-so there is a single code path to trust.  A plain subset-enumeration oracle
+One private kernel takes a list of distinct values and the range they lie
+in, and counts its increasing subsequences of every length up to a cap, one
+layer at a time over a value-indexed binary indexed tree (O(n * L * log n)
+big-integer additions).  It stops at the first all-zero layer, since no
+longer subsequence exists past it, so a cap beyond the longest increasing
+subsequence costs one layer more than it.  Decreasing counts run the same
+kernel on the position-reversed values, the chains and antichains of a
+dimension-2 poset (``monoseq.posets``) on the poset's witness, and the hill
+climb of ``monoseq.search`` on the value lists that price a swap, so there
+is a single code path to trust.  A plain subset-enumeration oracle
 cross-checks it.
 """
 
@@ -20,30 +24,6 @@ from .perms import Permutation
 
 # Largest number of subsets a brute-force subsequence count may visit.
 SUBSET_BUDGET = 2_000_000
-
-
-class _Fenwick:
-    """Binary indexed tree over values 1..n with big-integer sums."""
-
-    __slots__ = ("n", "tree")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.tree = [0] * (n + 1)
-
-    def add(self, i: int, delta: int) -> None:
-        tree = self.tree
-        while i <= self.n:
-            tree[i] += delta
-            i += i & -i
-
-    def prefix(self, i: int) -> int:
-        tree = self.tree
-        total = 0
-        while i > 0:
-            total += tree[i]
-            i -= i & -i
-        return total
 
 
 @dataclass(frozen=True)
@@ -80,26 +60,34 @@ class LengthProfile:
         }
 
 
-def _chain_totals(p: Permutation, top: int) -> list[int]:
-    """totals[L] = number of increasing L-subsequences of p, for L = 1..top <= n.
+def _chain_totals(values: list[int] | tuple[int, ...], size: int, top: int) -> list[int]:
+    """totals[L] = number of increasing L-subsequences of values, for L = 0..top.
 
-    Layered recurrence f_L(i) = sum_{j < i, p(j) < p(i)} f_{L-1}(j) with
-    f_1 = 1.  Each layer gets a fresh binary indexed tree keyed by value, and
-    only the previous and the current per-position vectors are alive.
+    values are distinct integers in 1..size, and totals[0] = 1 counts the
+    empty subsequence.  Layered recurrence
+    f_L(i) = sum_{j < i, v_j < v_i} f_{L-1}(j) with f_1 = 1, each layer
+    summed through a fresh binary indexed tree keyed by value; only the
+    previous and the current per-position vectors are alive.  Once a layer
+    is all zero every longer one is too, so the rest are filled with zeros.
     """
-    values = p.values
-    prev = [1] * p.n
-    totals = [0, p.n]
-    for _ in range(2, top + 1):
-        tree = _Fenwick(p.n)
+    prev = [1] * len(values)
+    totals = [1, len(values)]
+    while len(totals) <= top and totals[-1]:
+        tree = [0] * (size + 1)
         cur = []
         for v, f in zip(values, prev):
-            cur.append(tree.prefix(v - 1))
+            i, below = v - 1, 0
+            while i:
+                below += tree[i]
+                i &= i - 1
+            cur.append(below)
             if f:
-                tree.add(v, f)
+                while v <= size:
+                    tree[v] += f
+                    v += v & -v
         totals.append(sum(cur))
         prev = cur
-    return totals
+    return (totals + [0] * top)[: top + 1]
 
 
 def count_increasing_exact(p: Permutation, L: int) -> int:
@@ -108,7 +96,7 @@ def count_increasing_exact(p: Permutation, L: int) -> int:
         raise ValidationError("subsequence length must be >= 1")
     if L > p.n:
         return 0
-    return _chain_totals(p, L)[L]
+    return _chain_totals(p.values, p.n, L)[L]
 
 
 def count_monotone(p: Permutation, k: int) -> CountReport:
@@ -150,8 +138,6 @@ def length_profile(p: Permutation, Lmax: int) -> LengthProfile:
     """Exact counts for every length 2..Lmax in one layered pass per type."""
     if Lmax < 2:
         raise ValidationError("Lmax must be >= 2")
-    top = min(Lmax, p.n)
-    pad = [0] * (Lmax - top)
-    inc = _chain_totals(p, top) + pad
-    dec = _chain_totals(p.reverse(), top) + pad
+    inc = _chain_totals(p.values, p.n, Lmax)
+    dec = _chain_totals(p.values[::-1], p.n, Lmax)
     return LengthProfile({L: (inc[L], dec[L]) for L in range(2, Lmax + 1)})

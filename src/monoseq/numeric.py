@@ -9,6 +9,7 @@ the real one.
 
 from __future__ import annotations
 
+from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 from math import isqrt
 
@@ -113,6 +114,9 @@ def ceil_pow2_of_sqrt_minus_one(t: int) -> int:
     bisection.  log2(2c) never equals sqrt(t): 2**sqrt(t) is transcendental
     (Gelfond-Schneider).  Each test compares integer bounds on both sides
     scaled by 2**bits, sqrt(t) by isqrt, and doubles bits until they part.
+    A decimal estimate carried to about 30 digits past the integer part of
+    2**(sqrt(t)-1) names the ceiling first; above(est) and not
+    above(est - 1) confirm it, and the bisection runs only if they do not.
     """
     if t < 1:
         raise ValidationError("threshold defined for positive t only")
@@ -133,6 +137,11 @@ def ceil_pow2_of_sqrt_minus_one(t: int) -> int:
             bits *= 2
 
     low, high = 1 << (s - 1), 1 << s  # above(low) is False, above(high) True
+    with localcontext() as ctx:
+        ctx.prec = 31 * s // 100 + 30
+        est = int((Decimal(2) ** (Decimal(t).sqrt() - 1)).to_integral_value(ROUND_CEILING))
+    if low < est <= high and above(est) and not above(est - 1):
+        return est
     while high - low > 1:
         mid = (low + high) // 2
         if above(mid):

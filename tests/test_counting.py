@@ -1,3 +1,4 @@
+from itertools import combinations
 from itertools import permutations as iter_permutations
 from math import comb
 
@@ -105,6 +106,18 @@ class TestLengthProfile:
         with pytest.raises(ValidationError):
             length_profile(identity(3), 1)
 
+    def test_zeros_past_the_longest_run(self):
+        # Four falling pairs: no decreasing triple, and an increasing
+        # L-subsequence takes one value from each of L pairs.
+        profile = length_profile(Permutation((2, 1, 4, 3, 6, 5, 8, 7)), 6).per_length
+        assert profile == {
+            2: (comb(4, 2) * 4, 4),
+            3: (comb(4, 3) * 8, 0),
+            4: (16, 0),
+            5: (0, 0),
+            6: (0, 0),
+        }
+
     @given(permutations_st(min_n=2, max_n=20))
     def test_pairs_partition_into_inversions(self, p):
         inc, dec = length_profile(p, 2).per_length[2]
@@ -123,6 +136,21 @@ class TestLengthProfile:
         profile = length_profile(p, k + 1).per_length
         report = count_monotone(p, k)
         assert profile[k + 1] == (report.increasing, report.decreasing)
+
+
+class TestChainKernel:
+    @given(
+        st.lists(st.integers(min_value=1, max_value=30), unique=True, max_size=11),
+        st.integers(min_value=0, max_value=12),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_value_list_against_subsets(self, values, top):
+        # A list of distinct values that is not a permutation of 1..len.
+        expected = [
+            sum(1 for sub in combinations(values, L) if list(sub) == sorted(sub))
+            for L in range(top + 1)
+        ]
+        assert counting._chain_totals(values, 30, top) == expected
 
 
 class TestOracleEquivalence:

@@ -1,5 +1,5 @@
 import random
-from decimal import ROUND_CEILING, Decimal, localcontext
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 from math import comb, exp, isqrt, log2, sqrt
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monoseq import numeric
 from monoseq.errors import ValidationError
 from monoseq.lemmas import (
     FunctionTable,
@@ -67,18 +68,28 @@ class TestNumericBounds:
             assert 2**lo <= power <= 2**hi and hi - lo <= 2, (m, lo, hi)
 
     def test_threshold_ceiling(self):
-        # An 80-digit decimal reference; 2 ** (sqrt(t) - 1) is an integer
-        # only at square t, and elsewhere stays far from one at this precision.
-        with localcontext() as ctx:
-            ctx.prec = 80
-            for t in range(1, 1001):
-                s = isqrt(t)
-                if s * s == t:
-                    expected = 2 ** (s - 1)
-                else:
-                    power = ((Decimal(t).sqrt() - 1) * Decimal(2).ln()).exp()
-                    expected = int(power.to_integral_value(rounding=ROUND_CEILING))
-                assert ceil_pow2_of_sqrt_minus_one(t) == expected, t
+        for t in range(1, 1001):
+            assert ceil_pow2_of_sqrt_minus_one(t) == _ceiling_reference(t), t
+
+    def test_threshold_ceiling_without_the_estimate(self, monkeypatch):
+        # A floor estimate falls one short off the squares, so the
+        # confirmation fails and the bisection answers.
+        monkeypatch.setattr(numeric, "ROUND_CEILING", ROUND_FLOOR)
+        for t in range(1, 301):
+            assert ceil_pow2_of_sqrt_minus_one(t) == _ceiling_reference(t), t
+
+
+def _ceiling_reference(t: int) -> int:
+    """ceil(2 ** (sqrt(t) - 1)) from an 80-digit decimal; 2 ** (sqrt(t) - 1)
+    is an integer only at square t, and elsewhere stays far from one at this
+    precision."""
+    s = isqrt(t)
+    if s * s == t:
+        return 2 ** (s - 1)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        power = ((Decimal(t).sqrt() - 1) * Decimal(2).ln()).exp()
+        return int(power.to_integral_value(rounding=ROUND_CEILING))
 
 
 class TestLowerShadow:

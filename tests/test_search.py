@@ -1,10 +1,12 @@
 from itertools import permutations as iter_permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoseq.config import DEFAULT_BUDGETS
 from monoseq.counting import brute_force_count, count_monotone
-from monoseq.errors import BudgetExceededError, ValidationError
+from monoseq.errors import BudgetExceededError, InvariantError, ValidationError
 from monoseq.perms import (
     Permutation,
     canonical_form,
@@ -27,6 +29,8 @@ from monoseq.search import (
     min_hk_over_posets,
     verify_theorem,
 )
+
+from conftest import permutations_st
 
 
 class TestExhaustiveMin:
@@ -225,6 +229,15 @@ class TestVerifyTheorem:
             assert verify_theorem(n, 2).match
 
 
+def _falling_blocks(*sizes: int) -> tuple[int, ...]:
+    """Decreasing runs of the given sizes, each above the one before."""
+    out, top = [], 0
+    for size in sizes:
+        out += range(top + size, top, -1)
+        top += size
+    return tuple(out)
+
+
 class TestHeuristicMin:
     def test_block_seed_caps_the_result(self):
         assert heuristic_min(13, 3, trials=3, seed=0).minimum <= 7
@@ -251,6 +264,40 @@ class TestHeuristicMin:
         assert 4 <= result.minimum <= 5
         assert result.minimum >= 20 - 16
         assert result.minimum <= m_tau_formula(4, 20)
+
+    @given(permutations_st(min_n=2, max_n=14), st.integers(min_value=1, max_value=5))
+    @settings(max_examples=120, deadline=None)
+    def test_swap_price_is_the_change_in_count(self, p, k):
+        word = list(p.values)
+        before = count_monotone(p, k).total
+        for i in range(p.n - 1):
+            swapped = word[:]
+            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            after = count_monotone(Permutation(tuple(swapped)), k).total
+            assert search._swap_price(word, i, k) == after - before, (word, i, k)
+
+    def test_a_mispriced_swap_is_caught(self, monkeypatch):
+        monkeypatch.setattr(search, "_swap_price", lambda word, i, k: -1)
+        with pytest.raises(InvariantError):
+            heuristic_min(6, 2, trials=1, seed=0, max_steps=3)
+
+    # (minimum, states_visited, witness) as the hill climb recounting every
+    # candidate in full reported them; a pricing slip moves states_visited.
+    @pytest.mark.parametrize(
+        "n,k,trials,seed,max_steps,minimum,visited,witness",
+        [
+            (40, 3, 16, 1, 25, 2431, 2280, _falling_blocks(13, 13, 14)),
+            (40, 3, 16, 2, 25, 2431, 2092, _falling_blocks(13, 13, 14)),
+            (13, 3, 3, 0, 200, 7, 237, _falling_blocks(4, 4, 5)),
+            (20, 4, 3, 7, 200, 4, 525, _falling_blocks(5, 5, 5, 5)),
+            (12, 2, 5, 3, 200, 40, 398, _falling_blocks(6, 6)),
+            (9, 1, 3, 5, 200, 36, 28, tuple(range(1, 10))),
+        ],
+    )
+    def test_pinned(self, n, k, trials, seed, max_steps, minimum, visited, witness):
+        result = heuristic_min(n, k, trials=trials, seed=seed, max_steps=max_steps)
+        assert (result.minimum, result.states_visited) == (minimum, visited)
+        assert [w.values for w in result.witnesses] == [witness]
 
 
 def _reference_poset_minimum(n: int, k: int) -> tuple[int, list[tuple[int, int]], int]:
