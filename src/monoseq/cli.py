@@ -50,6 +50,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_USAGE = 64
+# Largest t that lemma surplus-bound accepts.
+SURPLUS_T_MAX = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -274,6 +276,10 @@ def _signature_bound(data) -> dict:
 
 
 def _surplus_bound(data) -> dict:
+    # The threshold's cost grows with t alone; the preconditions need
+    # 3t <= surplus <= n, so a larger t fits only posets past 3,000,000.
+    if data["t"] > SURPLUS_T_MAX:
+        raise ValidationError(f"lemma surplus-bound takes t <= {SURPLUS_T_MAX}")
     report = surplus_conclusion_check(poset_from_json(data["poset"]), data["k"], data["t"])
     return {"report": report.to_json_dict()}
 

@@ -1,15 +1,16 @@
 """Exact counting of monotone subsequences of a fixed length.
 
-One private kernel takes a list of distinct values and the range they lie
-in, and counts its increasing subsequences of every length up to a cap, one
-layer at a time over a value-indexed binary indexed tree (O(n * L * log n)
-big-integer additions).  It stops at the first all-zero layer, since no
-longer subsequence exists past it, so a cap beyond the longest increasing
+One private kernel takes a list of distinct positive values and counts its
+increasing subsequences of every length up to a cap, one layer at a time
+over a value-indexed binary indexed tree (O(n * L * log n) big-integer
+additions).  It stops at the first all-zero layer, since no longer
+subsequence exists past it, so a cap beyond the longest increasing
 subsequence costs one layer more than it.  Decreasing counts run the same
 kernel on the position-reversed values, the chains and antichains of a
-dimension-2 poset (``monoseq.posets``) on the poset's witness, and the hill
-climb of ``monoseq.search`` on the value lists that price a swap, so there
-is a single code path to trust.  A plain subset-enumeration oracle
+dimension-2 poset (``monoseq.posets``) on the poset's witness, and
+``swap_price``, which prices an adjacent swap for the hill climb of
+``monoseq.search``, on two filtered value lists, so there is a single code
+path to trust.  A plain subset-enumeration oracle
 cross-checks it.
 """
 
@@ -60,16 +61,17 @@ class LengthProfile:
         }
 
 
-def _chain_totals(values: list[int] | tuple[int, ...], size: int, top: int) -> list[int]:
+def _chain_totals(values: list[int] | tuple[int, ...], top: int) -> list[int]:
     """totals[L] = number of increasing L-subsequences of values, for L = 0..top.
 
-    values are distinct integers in 1..size, and totals[0] = 1 counts the
+    values are distinct positive integers, and totals[0] = 1 counts the
     empty subsequence.  Layered recurrence
     f_L(i) = sum_{j < i, v_j < v_i} f_{L-1}(j) with f_1 = 1, each layer
     summed through a fresh binary indexed tree keyed by value; only the
     previous and the current per-position vectors are alive.  Once a layer
     is all zero every longer one is too, so the rest are filled with zeros.
     """
+    size = max(values, default=0)
     prev = [1] * len(values)
     totals = [1, len(values)]
     while len(totals) <= top and totals[-1]:
@@ -90,13 +92,37 @@ def _chain_totals(values: list[int] | tuple[int, ...], size: int, top: int) -> l
     return (totals + [0] * top)[: top + 1]
 
 
+def swap_price(word: list[int], i: int, k: int) -> int:
+    """Change in the count of monotone (k+1)-subsequences of the permutation
+    word when word[i] and word[i+1] trade places.
+
+    Only the (k+1)-sets holding both values change, since every other pair
+    keeps its relative order.  With lo < hi the two values, an increasing
+    set through the pair takes its k-1 other members from the values below
+    lo before it and above hi after it, and every one of the first lies
+    below every one of the second, so these sets are the increasing
+    (k-1)-chains of that list; the decreasing sets are the decreasing
+    (k-1)-chains of the values above hi before the pair and below lo after
+    it.  The pair now rising (a < b) gives the first kind and the swapped
+    pair the second, or the other way round.
+    """
+    a, b = word[i], word[i + 1]
+    lo, hi = min(a, b), max(a, b)
+    head, tail = word[:i], word[i + 2 :]
+    up = [x for x in head if x < lo] + [x for x in tail if x > hi]
+    down = [x for x in head if x > hi] + [x for x in tail if x < lo]
+    rising = _chain_totals(up, k - 1)[k - 1]
+    falling = _chain_totals(down[::-1], k - 1)[k - 1]
+    return falling - rising if a < b else rising - falling
+
+
 def count_increasing_exact(p: Permutation, L: int) -> int:
     """Number of index sets i_1 < ... < i_L with strictly increasing values."""
     if L < 1:
         raise ValidationError("subsequence length must be >= 1")
     if L > p.n:
         return 0
-    return _chain_totals(p.values, p.n, L)[L]
+    return _chain_totals(p.values, L)[L]
 
 
 def count_monotone(p: Permutation, k: int) -> CountReport:
@@ -138,6 +164,6 @@ def length_profile(p: Permutation, Lmax: int) -> LengthProfile:
     """Exact counts for every length 2..Lmax in one layered pass per type."""
     if Lmax < 2:
         raise ValidationError("Lmax must be >= 2")
-    inc = _chain_totals(p.values, p.n, Lmax)
-    dec = _chain_totals(p.values[::-1], p.n, Lmax)
+    inc = _chain_totals(p.values, Lmax)
+    dec = _chain_totals(p.values[::-1], Lmax)
     return LengthProfile({L: (inc[L], dec[L]) for L in range(2, Lmax + 1)})

