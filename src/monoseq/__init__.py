@@ -7,6 +7,7 @@ from .counting import (
     CountReport,
     LengthProfile,
     brute_force_count,
+    count_decreasing_exact,
     count_increasing_exact,
     count_monotone,
     length_profile,

@@ -168,6 +168,8 @@ def _cmd_count(args) -> dict:
             oracle.increasing == report.increasing and oracle.decreasing == report.decreasing
         )
     if args.profile:
+        if args.profile > p.n:
+            raise ValidationError(f"--profile {args.profile} exceeds the length n = {p.n}")
         payload["profile"] = length_profile(p, args.profile).to_json_dict()
     return payload
 

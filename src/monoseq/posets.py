@@ -27,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .counting import count_increasing_exact
+from .counting import count_decreasing_exact, count_increasing_exact
 from .errors import BudgetExceededError, ValidationError
 from .perms import Permutation
 
@@ -364,16 +364,16 @@ def count_antichains_of_size(P: Poset, m: int) -> int:
     """Exact number of m-element antichains.
 
     With a witness these are the witness's decreasing m-subsequences, counted
-    by the ``monoseq.counting`` kernel on the reversed witness.  Without one
-    it is a budgeted backtracking count over independent sets of the
-    comparability graph, since the general problem blows up.  One budget
+    by the ``monoseq.counting`` kernel on the witness's values read backwards.
+    Without one it is a budgeted backtracking count over independent sets of
+    the comparability graph, since the general problem blows up.  One budget
     node is one antichain of 1 to m - 1 elements reached on the way; the
     m-th element is counted from the candidates left, not enumerated.
     """
     if m < 1:
         raise ValidationError("antichain size must be >= 1")
     if P.witness is not None:
-        return count_increasing_exact(P.witness.reverse(), m)
+        return count_decreasing_exact(P.witness, m)
     related = [P.above[i] | P.below[i] for i in range(P.n)]
     # Sets are built from the highest id down: choosing i leaves the smaller
     # candidates not related to i.  A branch stops as soon as fewer

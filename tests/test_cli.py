@@ -105,6 +105,13 @@ class TestCount:
         assert payload["oracle_match"]
         assert payload["profile"]["2"] == {"increasing": 4, "decreasing": 2}
 
+    def test_profile_past_n_is_validation_error(self, capsys):
+        code, out = run_cli(["count", "--k", "2", "--profile", "4"], stdin_text="1 2 3")
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert "n = 3" in capsys.readouterr().err
+        code, out = run_cli(["count", "--k", "2", "--profile", "3"], stdin_text="1 2 3")
+        assert json.loads(out)["profile"]["3"] == {"increasing": 1, "decreasing": 0}
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_round_trip_reproduces_formula(self, k):
         for n in range(1, 21):

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from itertools import permutations as iter_permutations
 from math import comb
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from monoseq import counting
 from monoseq.counting import (
     brute_force_count,
+    count_decreasing_exact,
     count_increasing_exact,
     count_monotone,
     length_profile,
@@ -39,6 +41,8 @@ class TestCountIncreasingExact:
     def test_rejects_bad_length(self):
         with pytest.raises(ValidationError):
             count_increasing_exact(identity(3), 0)
+        with pytest.raises(ValidationError):
+            count_decreasing_exact(identity(3), 0)
 
 
 class TestCountMonotone:
@@ -139,6 +143,28 @@ class TestLengthProfile:
         assert profile[k + 1] == (report.increasing, report.decreasing)
 
 
+def _one_layer_kernel(values, top):
+    """The kernel as it was before packing: one tree pass per layer."""
+    size = max(values, default=0)
+    prev = [1] * len(values)
+    totals = [1, len(values)]
+    while len(totals) <= top and totals[-1]:
+        tree = [0] * (size + 1)
+        cur = []
+        for v, f in zip(values, prev):
+            i, below = v - 1, 0
+            while i:
+                below += tree[i]
+                i &= i - 1
+            cur.append(below)
+            while v <= size:
+                tree[v] += f
+                v += v & -v
+        totals.append(sum(cur))
+        prev = cur
+    return (totals + [0] * top)[: top + 1]
+
+
 class TestChainKernel:
     @given(
         st.lists(st.integers(min_value=1, max_value=30), unique=True, max_size=11),
@@ -153,6 +179,41 @@ class TestChainKernel:
         ]
         assert counting._chain_totals(values, top) == expected
 
+    # 1 and 8 bits force one layer per pass, 64 several passes of several
+    # layers, 1024 (the default) a single pass for most of these lists.
+    @pytest.mark.parametrize("bits", [1, 8, 64, 1024])
+    def test_packed_passes_match_one_layer_passes(self, bits, monkeypatch):
+        monkeypatch.setattr(counting, "PACKED_BITS", bits)
+        rng = random.Random(bits)
+        for _ in range(60):
+            n = rng.randrange(0, 40)
+            values = rng.sample(range(1, 3 * n + 2), n)
+            for top in range(n + 2):
+                assert counting._chain_totals(values, top) == _one_layer_kernel(values, top), (
+                    values,
+                    top,
+                )
+
+    @pytest.mark.parametrize("bits", [64, 1024])
+    def test_identity_at_the_width_bound(self, bits, monkeypatch):
+        # At top = n // 2 the largest count is C(n, n // 2) itself, the
+        # number the slot width is taken from.
+        monkeypatch.setattr(counting, "PACKED_BITS", bits)
+        for n in range(61):
+            top = n // 2
+            expected = [comb(n, L) for L in range(top + 1)]
+            assert counting._chain_totals(list(range(1, n + 1)), top) == expected, n
+
+    @pytest.mark.parametrize("bits", [1, 1024])
+    def test_reversed_identity(self, bits, monkeypatch):
+        # Layer 2 is all zero, so every position is dead after the first
+        # pass and the layers past it are zeros.
+        monkeypatch.setattr(counting, "PACKED_BITS", bits)
+        for n in range(30):
+            for top in range(n + 2):
+                expected = ([1, n] + [0] * top)[: top + 1]
+                assert counting._chain_totals(list(range(n, 0, -1)), top) == expected
+
 
 class TestSwapPrice:
     @given(permutations_st(min_n=2, max_n=14), st.integers(min_value=1, max_value=5))
@@ -165,6 +226,14 @@ class TestSwapPrice:
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
             after = count_monotone(Permutation(tuple(swapped)), k).total
             assert swap_price(word, i, k) == after - before, (word, i, k)
+
+    def test_chains_longer_than_the_word_skip_the_kernel(self, monkeypatch):
+        def kernel(values, top):
+            raise AssertionError(f"kernel asked for {top} layers of {len(values)} values")
+
+        monkeypatch.setattr(counting, "_chain_totals", kernel)
+        for k in (3, 10**9):
+            assert swap_price([2, 1, 3], 0, k) == 0
 
 
 class TestOracleEquivalence:

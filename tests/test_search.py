@@ -277,6 +277,7 @@ class TestHeuristicMin:
             (20, 4, 3, 7, 200, 4, 525, _falling_blocks(5, 5, 5, 5)),
             (12, 2, 5, 3, 200, 40, 398, _falling_blocks(6, 6)),
             (9, 1, 3, 5, 200, 36, 28, tuple(range(1, 10))),
+            (12, 10**6, 100, 0, 200, 0, 1201, tuple(range(1, 13))),
         ],
     )
     def test_pinned(self, n, k, trials, seed, max_steps, minimum, visited, witness):
