@@ -1,11 +1,10 @@
 """Height-reducing cuts and the two-step pruning procedure.
 
 A height-reducing set is a set of elements meeting every maximum-length
-chain; deleting a minimum one lowers the height by exactly one.  The
-minimum cut is found by max flow on the vertex-split graph of elements
-that lie on some maximum chain, as a count of unit augmenting paths found
-by breadth-first search, and made deterministic by greedily committing
-the lowest-indexed element that still admits a minimum cut through it.
+chain; deleting a minimum one lowers the height by exactly one.  It is
+the minimum cut of one Edmonds-Karp max flow on the vertex-split graph of
+the elements on some maximum chain, whose vertex costs encode the
+lexicographic tie-break; the cut is read off the residual graph.
 """
 
 from __future__ import annotations
@@ -20,15 +19,8 @@ from .posets import Poset, dual, height, width
 
 
 class _FlowNet:
-    """Flow network with unit and infinite edge capacities.
-
-    ``max_flow`` augments along BFS shortest paths one unit at a time, which
-    is exact only when every s-t path of the residual graph has bottleneck
-    1.  The vertex-split networks built here are layered (source, then in-
-    and out-copies level by level, then sink), and the only edges between
-    an in-copy and its out-copy are the unit vertex edges, so every such
-    path crosses one.
-    """
+    """Flow network; ``max_flow`` is Edmonds-Karp (BFS shortest augmenting
+    paths, each augmented by its bottleneck), exact for any capacities."""
 
     def __init__(self, size: int):
         self.size = size
@@ -44,7 +36,9 @@ class _FlowNet:
         self.to.append(u)
         self.cap.append(0)
 
-    def max_flow(self, s: int, t: int) -> int:
+    def max_flow(self, s: int, t: int) -> tuple[int, list[bool]]:
+        """Maximum s-t flow, and the source side of a minimum cut: what the
+        last BFS, which fails to reach t, reaches from s."""
         flow = 0
         while True:
             via = [-1] * self.size  # via[v] = edge id that first reached v
@@ -57,70 +51,57 @@ class _FlowNet:
                         via[v] = eid
                         queue.append(v)
             if via[t] < 0:
-                return flow
+                return flow, [v == s or eid >= 0 for v, eid in enumerate(via)]
+            path = []
             v = t
             while v != s:
-                eid = via[v]
-                self.cap[eid] -= 1
-                self.cap[eid ^ 1] += 1
-                v = self.to[eid ^ 1]
-            flow += 1
-
-
-def _min_cut_size(P: Poset, removed: frozenset[int]) -> int:
-    """Minimum number of elements (outside `removed`) meeting every maximum chain.
-
-    P must have height >= 1.  The elements on some maximum chain are
-    decompose(P).a_prime, and a maximum chain steps only along
-    decompose(P).hasse, between consecutive levels.
-    """
-    dec = decompose(P)
-    members = [x for lvl in dec.a_prime for x in lvl if x not in removed]
-    idx = {x: t for t, x in enumerate(members)}
-    m = len(members)
-    src, sink = 2 * m, 2 * m + 1
-    net = _FlowNet(2 * m + 2)
-    INF = 1 << 60
-    for t in range(m):
-        net.add_edge(2 * t, 2 * t + 1, 1)
-    for x in dec.a_prime[0]:
-        if x in idx:
-            net.add_edge(src, 2 * idx[x], INF)
-    for x in dec.a_prime[-1]:
-        if x in idx:
-            net.add_edge(2 * idx[x] + 1, sink, INF)
-    for edges in dec.hasse:
-        for x, y in edges:
-            if x in idx and y in idx:
-                net.add_edge(2 * idx[x] + 1, 2 * idx[y], INF)
-    return net.max_flow(src, sink)
+                path.append(via[v])
+                v = self.to[via[v] ^ 1]
+            push = min(self.cap[eid] for eid in path)
+            for eid in path:
+                self.cap[eid] -= push
+                self.cap[eid ^ 1] += push
+            flow += push
 
 
 def min_height_reducing_set(P: Poset) -> list[int]:
-    """Lexicographically least minimum set whose deletion reduces the height.
+    """Lexicographically least minimum set meeting every maximum chain.
 
-    Computed by max flow over the maximum-chain elements, then committing
-    elements in ascending id order whenever a minimum cut still exists
-    through them.  Every maximum chain meets the result, so deletion drops
-    the height by exactly one.
+    Deleting it drops the height by exactly one.  The maximum chains are
+    the source-sink paths of the vertex-split network on decompose(P).a_prime
+    with edges along decompose(P).hasse.  The member of rank r (ascending
+    id, m members) costs 2^m - 2^(m-1-r); other edges cost more than all
+    members together.  A cut C costs |C| * 2^m minus a saving below 2^m, so
+    a smaller cut costs less; among cuts of one size, the least element of
+    two cuts' symmetric difference decides both the saving and the
+    lexicographic order.  Distinct sets save distinct amounts, so the
+    minimum cut is unique and is that set.
     """
     if height(P) < 1:
         raise ValidationError("height-reducing set undefined for an empty poset")
-    target = _min_cut_size(P, frozenset())
-    chosen: list[int] = []
-    removed: set[int] = set()
-    remaining = target
-    for x in sorted(x for lvl in decompose(P).a_prime for x in lvl):
-        if remaining == 0:
-            break
-        trial = frozenset(removed | {x})
-        if _min_cut_size(P, trial) == remaining - 1:
-            chosen.append(x)
-            removed.add(x)
-            remaining -= 1
-    if len(chosen) != target:
-        raise InvariantError("greedy cut extraction failed")
-    return chosen
+    dec = decompose(P)
+    members = sorted(x for lvl in dec.a_prime for x in lvl)
+    idx = {x: r for r, x in enumerate(members)}
+    m = len(members)
+    cost = [(1 << m) - (1 << (m - 1 - r)) for r in range(m)]
+    src, sink = 2 * m, 2 * m + 1
+    inf = (m + 1) << m
+    net = _FlowNet(2 * m + 2)
+    for r in range(m):
+        net.add_edge(2 * r, 2 * r + 1, cost[r])
+    for x in dec.a_prime[0]:
+        net.add_edge(src, 2 * idx[x], inf)
+    for x in dec.a_prime[-1]:
+        net.add_edge(2 * idx[x] + 1, sink, inf)
+    for edges in dec.hasse:
+        for x, y in edges:
+            if x in idx and y in idx:
+                net.add_edge(2 * idx[x] + 1, 2 * idx[y], inf)
+    flow, source_side = net.max_flow(src, sink)
+    cut = [r for r in range(m) if source_side[2 * r] and not source_side[2 * r + 1]]
+    if sum(cost[r] for r in cut) != flow:
+        raise InvariantError("minimum cut does not match the max flow")
+    return [members[r] for r in cut]
 
 
 @dataclass(frozen=True)

@@ -185,13 +185,16 @@ class ChainCoverResult:
 
 
 def disjoint_chain_cover(P: Poset, i: int, j: int) -> ChainCoverResult:
-    """Maximum family of disjoint chains from level i's live part to level j's.
+    """Disjoint chains climbing the live levels i..j along the inter-level graph.
 
     Built by reverse induction: start from the live elements of level j as
     singleton chains, then repeatedly extend downward along a maximum
     matching in the inter-level graph, dropping chains that cannot be
-    extended disjointly.  The deficiency d = k - (chains kept) is certified
-    by the matching rather than recomputed from a Hall condition.
+    extended disjointly.  Each step keeps as many chains as one matching
+    can, but a lower level may fail to extend the ones it keeps, so the
+    family need not be a maximum one when live levels differ in size.
+    The deficiency d = k - (chains kept) is certified by the matching
+    rather than recomputed from a Hall condition.
 
     Levels are 1-based.  The construction expects every a_prime level in
     i..j to have the same size k; unequal levels are reported in

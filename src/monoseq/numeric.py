@@ -31,14 +31,6 @@ def sqrt_upper(x: int) -> Fraction:
     return Fraction(r, scale)
 
 
-def sqrt_lower(x: int) -> Fraction:
-    """Rational lower bound on sqrt(x) for a nonnegative integer x."""
-    if x < 0:
-        raise ValidationError("sqrt_lower: negative argument")
-    scale = 1 << _SQRT_SCALE_BITS
-    return Fraction(isqrt(x * scale * scale), scale)
-
-
 def log2_lower(x: int) -> Fraction:
     """Rational lower bound on log2(x) for a positive integer x.
 

@@ -100,6 +100,7 @@ def build_tau(k: int, n: int) -> Permutation:
     """
     if k < 1 or n < 1:
         raise ValidationError("build_tau requires k >= 1 and n >= 1")
+    k = min(k, n)  # for k >= n every block is one value or empty: n, ..., 1
     values: list[int] = []
     for j in range(k, 0, -1):
         values.extend(range((j - 1) * n // k + 1, j * n // k + 1))

@@ -323,6 +323,10 @@ class TestSearch:
         payload = json.loads(out)
         assert payload["is_upper_bound"] and int(payload["minimum"]) <= 7
 
+    def test_heuristic_with_k_far_past_n(self):
+        code, out = run_cli(["search", "heuristic", "--n", "12", "--k", "1000000000"])
+        assert code == EXIT_OK and json.loads(out)["minimum"] == "0"
+
     def test_budget_exit_code(self):
         code, _ = run_cli(["--budget", "10", "search", "exhaustive", "--n", "8", "--k", "2"])
         assert code == EXIT_BUDGET

@@ -1,13 +1,15 @@
 import sys
+from collections import deque
 from itertools import combinations, permutations as iter_permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monoseq import cuts
 from monoseq.cuts import min_height_reducing_set, prune
 from monoseq.decomposition import decompose
-from monoseq.errors import ValidationError
+from monoseq.errors import InvariantError, ValidationError
 from monoseq.perms import Permutation, build_tau, canonical_form
 from monoseq.posets import (
     antichain_poset,
@@ -25,7 +27,11 @@ from conftest import permutations_st, random_dag
 
 
 def brute_min_hitting_set(P):
-    """Smallest set of elements meeting every maximum chain, by subset search."""
+    """Lexicographically least smallest set meeting every maximum chain, by subset search.
+
+    ``combinations`` of the sorted universe yields each size's sets in
+    lexicographic order, so the first hitting set found is that one.
+    """
     h = height(P)
     dec = decompose(P)
     chains = []
@@ -47,8 +53,7 @@ def brute_min_hitting_set(P):
         for cand in combinations(universe, size):
             s = set(cand)
             if all(s & ch for ch in chains):
-                return size
-    return len(universe)
+                return list(cand)
 
 
 class TestMinHeightReducingSet:
@@ -75,16 +80,57 @@ class TestMinHeightReducingSet:
     def test_matches_brute_force_minimum(self, p, rng):
         # A permutation poset and a witness-free order that need not have dimension 2.
         for P in (poset_from_perm(p), random_dag(rng, rng.randint(2, 9))):
-            cut = min_height_reducing_set(P)
-            assert len(cut) == brute_min_hitting_set(P), P.relation_pairs()
+            assert min_height_reducing_set(P) == brute_min_hitting_set(P), P.relation_pairs()
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_under_any_labeling(self, rng):
+        # random_dag relates only i < j, so low ids sit low in the order and the
+        # cut nearest the source is often the least one.  Relabeling breaks that.
+        P = random_dag(rng, rng.randint(2, 9))
+        label = list(range(P.n))
+        rng.shuffle(label)
+        Q = poset_from_relation(P.n, [(label[x], label[y]) for x, y in P.relation_pairs()])
+        assert min_height_reducing_set(Q) == brute_min_hitting_set(Q), Q.relation_pairs()
+
+    def test_least_ids_win_over_low_levels(self):
+        assert min_height_reducing_set(poset_from_relation(3, [(2, 1), (1, 0)])) == [0]
 
     def test_witness_free_cuts_are_pinned(self):
         # Without augmenting along reverse residual edges the flow falls short
-        # on some trial deletion here, and the greedy extraction fails.
+        # here, and the cut read off the residual graph costs more than it.
         P = poset_from_relation(6, [(0, 3), (1, 3), (1, 4), (2, 3)])
         assert min_height_reducing_set(P) == [1, 3]
         Q = poset_from_relation(8, [(0, 2), (0, 3), (0, 4), (0, 7), (1, 2), (1, 4), (2, 4), (3, 7)])
         assert min_height_reducing_set(Q) == [0, 1]
+
+    def test_wide_cut_takes_one_augmenting_path_per_chain(self, monkeypatch):
+        # Each path carries its bottleneck, a vertex cost near 2^300, so the
+        # flow takes 100 breadth-first searches that reach the sink and one
+        # that does not; augmenting one unit at a time would not finish.
+        searches = []
+
+        class CountingDeque(deque):
+            def __init__(self, *args):
+                searches.append(None)
+                if len(searches) > 101:
+                    raise RuntimeError("more searches than augmenting paths")
+                super().__init__(*args)
+
+        monkeypatch.setattr(cuts, "deque", CountingDeque)
+        assert min_height_reducing_set(disjoint_chains_poset([3] * 100)) == list(range(0, 300, 3))
+        assert len(searches) == 101
+
+    def test_cut_not_matching_the_flow_raises(self, monkeypatch):
+        max_flow = cuts._FlowNet.max_flow
+
+        def off_by_one(self, s, t):
+            flow, source_side = max_flow(self, s, t)
+            return flow + 1, source_side
+
+        monkeypatch.setattr(cuts._FlowNet, "max_flow", off_by_one)
+        with pytest.raises(InvariantError):
+            min_height_reducing_set(chain_poset(3))
 
     def test_leaves_recursion_limit(self, default_recursion_limit):
         min_height_reducing_set(chain_poset(600))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monoseq.cuts import min_height_reducing_set
 from monoseq.decomposition import (
     decompose,
     disjoint_chain_cover,
@@ -194,6 +195,24 @@ class TestDisjointChainCover:
         res = disjoint_chain_cover(V, 1, 2)
         assert len(res.chains) == 1 and res.d == 1
         assert res.violations == [(2, 1)]
+
+    def test_unequal_levels_can_keep_fewer_than_the_most_disjoint_chains(self):
+        # Live levels [0, 3], [1, 2, 4], [5, 6]: the top step matches 1-6 and
+        # 2-5, and only 0 extends them, though 0<1<6 and 3<4<5 are disjoint.
+        P = poset_from_relation(7, [(0, 1), (0, 2), (1, 5), (1, 6), (2, 5), (3, 4), (4, 5)])
+        res = disjoint_chain_cover(P, 1, 3)
+        assert res.chains == [[0, 1, 6]] and res.d == 1
+        assert res.violations == [(2, 3)]
+        assert all(P.less(x, y) for x, y in [(0, 1), (1, 6), (3, 4), (4, 5)])
+        assert min_height_reducing_set(P) == [0, 3]
+
+    @given(permutations_st(max_n=12), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_never_more_chains_than_a_height_reducing_set_has_elements(self, p, rng):
+        # Menger: disjoint maximum chains each need their own element of the cut.
+        for P in (poset_from_perm(p), random_dag(rng, rng.randint(1, 12))):
+            h = decompose(P).h
+            assert len(disjoint_chain_cover(P, 1, h).chains) <= len(min_height_reducing_set(P))
 
     def test_rejects_bad_levels(self):
         with pytest.raises(ValidationError):

@@ -64,6 +64,14 @@ class TestBuildTau:
         assert build_tau(2, 5).values == (3, 4, 5, 1, 2)
         assert count_monotone(build_tau(2, 5), 2).decreasing == 0
 
+    def test_more_blocks_than_values_is_the_reversed_identity(self):
+        assert build_tau(10**9, 12).values == tuple(range(12, 0, -1))
+
+    def test_blocks_past_n_change_nothing(self):
+        for n in range(1, 13):
+            for k in range(n, 3 * n):
+                assert build_tau(k, n) == build_tau(n, n), (k, n)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValidationError):
             build_tau(0, 5)
