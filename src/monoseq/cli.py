@@ -3,9 +3,9 @@
 Output contract: JSON results are emitted with sorted keys and embed the
 fully resolved run configuration, so identical invocations are
 byte-identical (volatile wall-clock timings are therefore kept out of the
-payload).  Exit codes: 0 success, 2 input validation, 3 budget exhaustion,
-64 usage errors.  Flags beat the MONOSEQ_WORKERS / MONOSEQ_BUDGET
-environment variables, which beat defaults.
+payload).  Exit codes: 0 success, 2 input validation, 3 budget exhaustion
+or a result integer too long to print, 64 usage errors.  Flags beat the
+MONOSEQ_WORKERS / MONOSEQ_BUDGET environment variables, which beat defaults.
 """
 
 from __future__ import annotations
@@ -132,10 +132,11 @@ def _read_input(args) -> str:
 
 
 def _json(text: str):
-    """Parse JSON input; malformed or too deeply nested text is a validation error."""
+    """Parse JSON input; malformed text, too deep nesting or an integer literal
+    past the interpreter's digit limit is a validation error."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"malformed JSON input: {exc}") from exc
 
 
@@ -439,6 +440,14 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_VALIDATION
     except BudgetExceededError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
+        return EXIT_BUDGET
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):  # a result too long to print
+            raise
+        limit = sys.get_int_max_str_digits()
+        sys.stderr.write(
+            f"result too large: an integer has over {limit} digits; set PYTHONINTMAXSTRDIGITS=0\n"
+        )
         return EXIT_BUDGET
     return EXIT_OK
 

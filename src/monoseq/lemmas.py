@@ -74,10 +74,11 @@ def lower_shadow(family: SetFamily, b: int) -> SetFamily:
     shadow = frozenset(
         frozenset(sub) for m in family.members for sub in combinations(sorted(m), b)
     )
-    # |shadow| >= min(|F|/2, 2^b), compared with integers only.
-    if 2 * len(shadow) < min(len(family.members), 2 ** (b + 1)):
+    f = len(family.members)
+    # |shadow| >= min(|F|/2, 2^b) in integers, building 2^(b+1) only when below |F|.
+    if 2 * len(shadow) < (2 ** (b + 1) if b + 1 < f.bit_length() else f):
         raise InvariantError(
-            f"shadow bound failed: |shadow|={len(shadow)}, |F|={len(family.members)}, b={b}"
+            f"shadow bound failed: |shadow|={len(shadow)}, |F|={f}, b={b}"
         )
     return SetFamily(ground_size=family.ground_size, members=shadow)
 

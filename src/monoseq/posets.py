@@ -1,9 +1,11 @@
 """Finite strict partial orders with optional order-dimension-2 witnesses.
 
 Elements are 0..n-1 internally (1-based at the JSON boundary).  The strict
-order is stored as dense bitmask rows in both directions, with transitive
-closure enforced at construction, so comparability queries are O(1) and the
-decomposition loops stay cheap at desk scale.
+order is stored as dense bitmask rows in both directions, so comparability
+queries are O(1) and the decomposition loops stay cheap at desk scale.  Two
+constructors derive the rows: ``poset_from_perm`` in one sweep over a
+permutation's values, and ``poset_from_relation`` by closing a relation in
+graphlib's topological order.  Every other poset is built by one of them.
 
 A witness is a permutation realizing the poset: element i is below j
 exactly when i < j as positions and witness(i) < witness(j) as values.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .counting import count_decreasing_exact, count_increasing_exact
@@ -74,17 +77,14 @@ class Poset:
         """Subposet on the given elements, relabeled in ascending id order."""
         keep = sorted(keep)
         pos = {e: idx for idx, e in enumerate(keep)}
-        above = []
-        below = []
-        for e in keep:
-            above.append(sum(1 << pos[j] for j in iter_bits(self.above[e]) if j in pos))
-            below.append(sum(1 << pos[j] for j in iter_bits(self.below[e]) if j in pos))
+        kept = sum(1 << e for e in keep)
+        pairs = [(pos[i], pos[j]) for i in keep for j in iter_bits(self.above[i] & kept)]
         witness = None
         if self.witness is not None and keep:
             vals = [self.witness.values[e] for e in keep]
             order = {v: rank + 1 for rank, v in enumerate(sorted(vals))}
             witness = Permutation(tuple(order[v] for v in vals))
-        return Poset(len(keep), tuple(above), tuple(below), witness)
+        return poset_from_relation(len(keep), pairs, witness)
 
     def delete(self, drop: Iterable[int]) -> "Poset":
         gone = set(drop)
@@ -98,17 +98,18 @@ class Poset:
 
 
 def poset_from_perm(p: Permutation) -> Poset:
-    """The order with i below j iff i < j as positions and p(i) < p(j)."""
+    """The order with i below j iff i < j as positions and p(i) < p(j).
+
+    Swept by ascending value: ``smaller`` holds the positions passed so far."""
     n = p.n
-    vals = p.values
+    full = (1 << n) - 1
     above = [0] * n
     below = [0] * n
-    for i in range(n):
-        vi = vals[i]
-        for j in range(i + 1, n):
-            if vals[j] > vi:
-                above[i] |= 1 << j
-                below[j] |= 1 << i
+    smaller = 0
+    for i in sorted(range(n), key=p.values.__getitem__):
+        below[i] = smaller & ((1 << i) - 1)
+        above[i] = full & ~(smaller | ((2 << i) - 1))
+        smaller |= 1 << i
     return Poset(n, tuple(above), tuple(below), p)
 
 
@@ -124,30 +125,18 @@ def poset_from_relation(
             raise ValidationError(f"bad relation pair ({i}, {j})")
         adj[i] |= 1 << j
 
-    # Reverse-topological sweep; cycles mean the input is not a strict order.
-    indeg = [0] * n
-    for i in range(n):
-        for j in iter_bits(adj[i]):
-            indeg[j] += 1
-    stack = [i for i in range(n) if indeg[i] == 0]
-    order = []
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        for j in iter_bits(adj[i]):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                stack.append(j)
-    if len(order) != n:
-        raise ValidationError("relation has a cycle; not a strict partial order")
+    # Successors come first, so each row closes over rows already closed.
+    succ = [list(iter_bits(mask)) for mask in adj]
+    try:
+        order = list(TopologicalSorter(dict(enumerate(succ))).static_order())
+    except CycleError:
+        raise ValidationError("relation has a cycle; not a strict partial order") from None
     above = [0] * n
-    for i in reversed(order):
+    for i in order:
         acc = adj[i]
-        for j in iter_bits(adj[i]):
+        for j in succ[i]:
             acc |= above[j]
         above[i] = acc
-        if acc >> i & 1:
-            raise ValidationError("relation has a cycle; not a strict partial order")
     below = [0] * n
     for i in range(n):
         for j in iter_bits(above[i]):

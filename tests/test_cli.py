@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -26,6 +27,10 @@ from monoseq.cli import (
 )
 from monoseq.perms import build_sigma_extremal, build_tau, m_tau_formula, parse_permutation
 from monoseq.posets import poset_from_perm
+
+# An integer literal of 5,001 digits, past the interpreter's default limit of
+# 4,300 digits for converting between int and str.
+HUGE_INT = "1" + "0" * 5000
 
 
 def run_cli(argv, stdin_text=""):
@@ -87,6 +92,13 @@ class TestFormula:
         payload = json.loads(out)
         assert payload["subcritical"] and "delta" not in payload
 
+    def test_result_past_the_integer_digit_limit_exits_3(self, capsys):
+        # mu's denominator has more digits than the interpreter will print.
+        assert run_cli(["formula", "--k", "1300", "--n", "1691300"]) == (EXIT_BUDGET, "")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "PYTHONINTMAXSTRDIGITS=0" in err
+        assert run_cli(["formula", "--k", "1200", "--n", "1441200"])[0] == EXIT_OK
+
 
 class TestCount:
     def test_sigma_counts_from_stdin(self):
@@ -130,6 +142,8 @@ class TestCount:
         assert code == EXIT_VALIDATION
         code, _ = run_cli(["count", "--k", "2"], stdin_text='{"values": ' + "[" * 200_000)
         assert code == EXIT_VALIDATION
+        code, _ = run_cli(["count", "--k", "2"], stdin_text='{"values": [%s]}' % HUGE_INT)
+        assert code == EXIT_VALIDATION
         code, _ = run_cli(["count", "--k", "1", "--input", str(tmp_path / "missing")])
         assert code == EXIT_VALIDATION
 
@@ -170,6 +184,11 @@ class TestPoset:
         text = poset_input(poset_from_perm(build_tau(2, 7)))
         assert run_cli(["poset", "hk"], stdin_text=text) == (EXIT_VALIDATION, "")
 
+    @pytest.mark.parametrize("action, k", [("decompose", "-1"), ("verify-example", "1")])
+    def test_k_out_of_range_is_validation_error(self, action, k):
+        text = poset_input(poset_from_perm(build_sigma_extremal(3, 2)))
+        assert run_cli(["poset", action, "--k", k], stdin_text=text) == (EXIT_VALIDATION, "")
+
     def test_prune_trace(self):
         P = poset_from_perm(parse_permutation("1 2 3"))
         code, out = run_cli(
@@ -198,7 +217,11 @@ class TestPoset:
             '{"n":3,"relation":[],"witness":5}',
             "{n: 3",
             '{"n":3,"relation":[[1,2]],"witness":[]}',
+            '{"n":-1,"relation":[]}',
+            '{"n":2,"relation":[[1,3]]}',
+            '{"n":2,"relation":[],"witness":[1]}',
             pytest.param("[" * 200_000, id="nested-too-deeply-to-parse"),
+            pytest.param('{"n": %s, "relation": []}' % HUGE_INT, id="integer-past-digit-limit"),
         ],
     )
     def test_malformed_json_is_validation_error(self, text):
@@ -267,6 +290,13 @@ class TestLemma:
         code, out = run_cli(["lemma", "surplus-bound"], stdin_text=json.dumps(payload))
         assert json.loads(out)["report"]["verdict"] is None
 
+    def test_shadow_of_empty_family_with_huge_b(self):
+        # The bound min(|F|, 2^(b+1)) must not build 2^(b+1) to find |F| = 0.
+        payload = {"ground_size": 0, "members": [], "b": 10**12}
+        start = time.perf_counter()
+        code, out = run_cli(["lemma", "shadow"], stdin_text=json.dumps(payload))
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK and json.loads(out)["shadow_size"] == 0
 
     @pytest.mark.parametrize(
         "lemma, text",
@@ -286,6 +316,17 @@ class TestLemma:
                 '{"domain":[0,"a"],"rows":[[1,1],[1,2],[1,3],[2,1],[2,2],[3,1],[3,3],[4,4]]}',
             ),
             ("surplus-bound", '{"poset":{"n":3},"k":2}'),
+            ("shadow", '{"ground_size":-1,"members":[],"b":1}'),
+            ("shadow", '{"ground_size":2,"members":[[0,5]],"b":1}'),
+            ("shadow", '{"ground_size":2,"members":[],"b":0}'),
+            ("signatures", '{"domain":[0,0],"rows":[[1,2]]}'),
+            ("signatures", '{"domain":[0],"rows":[[1,2]]}'),
+            ("connected", '{"t":0,"edges":[],"c":1}'),
+            ("connected", '{"t":2,"edges":[[0,5]],"c":1}'),
+            ("connected", '{"t":4,"edges":[[0,1],[1,2],[2,0]],"c":1}'),
+            ("signature-bound", '{"poset":{"n":2,"relation":[]},"k":0,"ell":1}'),
+            ("signature-bound", '{"poset":{"n":2,"relation":[[1,2]]},"k":1,"ell":1,"anchor":5}'),
+            ("surplus-bound", '{"poset":{"n":3,"relation":[]},"k":2,"t":0}'),
             pytest.param("shadow", "[" * 200_000, id="shadow-nested-too-deeply-to-parse"),
         ],
     )
@@ -459,6 +500,7 @@ _stdin = (
     _json_values.map(json.dumps)
     | st.lists(st.integers(0, 8), max_size=8).map(lambda v: " ".join(map(str, v)))
     | st.text(max_size=20)
+    | st.sampled_from(_KEYS).map(lambda key: '{"%s": %s}' % (key, HUGE_INT))
 )
 
 
@@ -478,7 +520,9 @@ _SUBCOMMANDS = st.one_of(
     _argv(st.just(["construct"]), st.sampled_from([["tau"], ["sigma"]]), _opt("--k", _k),
           _opt("--n", _small), _opt("--variant", st.integers(0, 2)),
           st.sampled_from([[], ["--json"]])),
-    _argv(st.just(["formula"]), _opt("--k", _k), _opt("--n", _small)),
+    _argv(st.just(["formula"]), _opt("--k", _k), _opt("--n", _small))
+    # Rarely, a result past the integer digit limit.
+    | st.just(["formula", "--k", "1300", "--n", "1691300"]),
     _argv(st.just(["poset"]), st.sampled_from(list(_POSET_ACTIONS)).map(lambda a: [a]),
           _opt("--k", _k), _opt("--t", st.integers(-1, 3))),
     _argv(st.just(["lemma"]), st.sampled_from(list(_LEMMAS)).map(lambda a: [a])),
