@@ -221,7 +221,7 @@ def _decompose(P, k) -> dict:
         "c": _ids(dec.c),
         "d": _ids(dec.d),
     }
-    if k:
+    if k is not None:
         ix = index_sets(P, k)
         payload["index_sets"] = {
             "f": sorted(ix.f),
@@ -249,7 +249,7 @@ _POSET_ACTIONS = {
 def _cmd_poset(args) -> dict:
     P = poset_from_json(_json(_read_input(args)))
     needs, fields = _POSET_ACTIONS[args.action]
-    if needs and not getattr(args, needs):
+    if needs and getattr(args, needs) is None:
         raise ValidationError(f"poset {args.action} requires --{needs}")
     return {"n": P.n, **fields(P, args)}
 

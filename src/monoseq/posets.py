@@ -2,10 +2,12 @@
 
 Elements are 0..n-1 internally (1-based at the JSON boundary).  The strict
 order is stored as dense bitmask rows in both directions, so comparability
-queries are O(1) and the decomposition loops stay cheap at desk scale.  Two
-constructors derive the rows: ``poset_from_perm`` in one sweep over a
-permutation's values, and ``poset_from_relation`` by closing a relation in
-graphlib's topological order.  Every other poset is built by one of them.
+queries are O(1) and the decomposition loops stay cheap at desk scale.  The
+rows come from two constructors, ``poset_from_perm`` (one sweep over a
+permutation's values) and ``poset_from_relation`` (a relation closed in
+graphlib's topological order), or from ``reverse_order``'s swap of the two
+row tuples.  Only ``poset_from_perm`` attaches a witness, and
+``poset_from_json`` is the one place a witness is checked against a relation.
 
 A witness is a permutation realizing the poset: element i is below j
 exactly when i < j as positions and witness(i) < witness(j) as values.
@@ -37,6 +39,9 @@ from .perms import Permutation
 # Largest number of backtracking nodes one antichain count on a witness-free
 # poset may visit.
 ANTICHAIN_NODE_BUDGET = 5_000_000
+# Largest poset size a JSON payload may state.  The rows hold n bits in each
+# direction, n**2 / 4 bytes in all: 100 MB at this cap.
+POSET_MAX_N = 20_000
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -76,15 +81,14 @@ class Poset:
     def induced(self, keep: Sequence[int]) -> "Poset":
         """Subposet on the given elements, relabeled in ascending id order."""
         keep = sorted(keep)
+        if self.witness is not None and keep:  # the kept subsequence, re-ranked
+            vals = [self.witness.values[e] for e in keep]
+            order = {v: rank + 1 for rank, v in enumerate(sorted(vals))}
+            return poset_from_perm(Permutation(tuple(order[v] for v in vals)))
         pos = {e: idx for idx, e in enumerate(keep)}
         kept = sum(1 << e for e in keep)
         pairs = [(pos[i], pos[j]) for i in keep for j in iter_bits(self.above[i] & kept)]
-        witness = None
-        if self.witness is not None and keep:
-            vals = [self.witness.values[e] for e in keep]
-            order = {v: rank + 1 for rank, v in enumerate(sorted(vals))}
-            witness = Permutation(tuple(order[v] for v in vals))
-        return poset_from_relation(len(keep), pairs, witness)
+        return poset_from_relation(len(keep), pairs)
 
     def delete(self, drop: Iterable[int]) -> "Poset":
         gone = set(drop)
@@ -113,9 +117,7 @@ def poset_from_perm(p: Permutation) -> Poset:
     return Poset(n, tuple(above), tuple(below), p)
 
 
-def poset_from_relation(
-    n: int, pairs: Iterable[tuple[int, int]], witness: Optional[Permutation] = None
-) -> Poset:
+def poset_from_relation(n: int, pairs: Iterable[tuple[int, int]]) -> Poset:
     """Build from 0-based strict pairs; covering pairs suffice, closure is computed."""
     if n < 0:
         raise ValidationError("poset size must be nonnegative")
@@ -141,14 +143,7 @@ def poset_from_relation(
     for i in range(n):
         for j in iter_bits(above[i]):
             below[j] |= 1 << i
-    P = Poset(n, tuple(above), tuple(below), witness)
-    if witness is not None:
-        if witness.n != n:
-            raise ValidationError("witness length does not match poset size")
-        expected = poset_from_perm(witness)
-        if expected.above != P.above:
-            raise ValidationError("witness does not realize the stated relation")
-    return P
+    return Poset(n, tuple(above), tuple(below))
 
 
 def poset_from_json(data) -> Poset:
@@ -164,8 +159,19 @@ def poset_from_json(data) -> Poset:
         raise ValidationError("poset relation must be a list of [i, j] integer pairs")
     if witness is not None and not isinstance(witness, list):
         raise ValidationError(f"poset witness must be a list, got {witness!r}")
-    pairs = [(i - 1, j - 1) for i, j in relation]
-    return poset_from_relation(n, pairs, None if witness is None else Permutation(tuple(witness)))
+    if n > POSET_MAX_N:
+        raise BudgetExceededError(
+            f"n = {n} exceeds the poset size cap {POSET_MAX_N}", needed=n, budget=POSET_MAX_N
+        )
+    p = None if witness is None else Permutation(tuple(witness))
+    P = poset_from_relation(n, [(i - 1, j - 1) for i, j in relation])
+    if p is not None:
+        if p.n != n:
+            raise ValidationError("witness length does not match poset size")
+        P, stated = poset_from_perm(p), P
+        if P.above != stated.above:
+            raise ValidationError("witness does not realize the stated relation")
+    return P
 
 
 def chain_poset(n: int) -> Poset:

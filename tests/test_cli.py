@@ -189,6 +189,33 @@ class TestPoset:
         text = poset_input(poset_from_perm(build_sigma_extremal(3, 2)))
         assert run_cli(["poset", action, "--k", k], stdin_text=text) == (EXIT_VALIDATION, "")
 
+    @pytest.mark.parametrize(
+        "action, flag",
+        [("decompose", "--k"), ("hk", "--k"), ("surplus", "--k"), ("verify-example", "--k"),
+         ("prune", "--t")],
+    )
+    def test_zero_flag_reaches_the_range_check(self, action, flag, capsys):
+        text = poset_input(poset_from_perm(build_sigma_extremal(3, 2)))
+        assert run_cli(["poset", action, flag, "0"], stdin_text=text) == (EXIT_VALIDATION, "")
+        assert "must be >= " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, stdin_text",
+        [
+            pytest.param(["poset", "hk", "--k", "2"], '{"n": %d, "relation": []}' % 10**20,
+                         id="hk"),
+            pytest.param(["poset", "decompose"], '{"n": 20001, "relation": [], "witness": [1]}',
+                         id="decompose-with-witness"),
+            pytest.param(["lemma", "surplus-bound"],
+                         '{"poset": {"n": %d}, "k": 2, "t": 1}' % 10**20, id="surplus-bound"),
+            pytest.param(["lemma", "signature-bound"],
+                         '{"poset": {"n": %d}, "k": 2, "ell": 1}' % 10**20, id="signature-bound"),
+        ],
+    )
+    def test_poset_past_size_cap_is_budget_error(self, argv, stdin_text, capsys):
+        assert run_cli(argv, stdin_text=stdin_text) == (EXIT_BUDGET, "")
+        assert "poset size cap 20000" in capsys.readouterr().err
+
     def test_prune_trace(self):
         P = poset_from_perm(parse_permutation("1 2 3"))
         code, out = run_cli(
@@ -501,6 +528,7 @@ _stdin = (
     | st.lists(st.integers(0, 8), max_size=8).map(lambda v: " ".join(map(str, v)))
     | st.text(max_size=20)
     | st.sampled_from(_KEYS).map(lambda key: '{"%s": %s}' % (key, HUGE_INT))
+    | st.just('{"n": %d, "relation": []}' % 10**20)
 )
 
 

@@ -28,7 +28,8 @@ from monoseq.posets import (
     surplus,
     width,
 )
-from monoseq.decomposition import decompose
+from monoseq.cuts import prune
+from monoseq.decomposition import decompose, verify_example_structure
 
 from conftest import permutations_st, random_dag, random_permutation
 
@@ -64,8 +65,8 @@ class TestConstruction:
             poset_from_relation(2, [(0, 1), (1, 0)])
 
     def test_rejects_bad_witness(self):
-        with pytest.raises(ValidationError):
-            poset_from_relation(3, [(0, 1)], witness=identity(3))
+        with pytest.raises(ValidationError, match="does not realize"):
+            poset_from_json({"n": 3, "relation": [[1, 2]], "witness": [1, 2, 3]})
 
     def test_json_round_trip(self):
         P = poset_from_perm(build_tau(2, 5))
@@ -76,8 +77,9 @@ class TestConstruction:
     @settings(max_examples=50)
     def test_relation_rederivable_from_witness(self, p):
         P = poset_from_perm(p)
-        Q = poset_from_relation(P.n, P.relation_pairs(), witness=p)
-        assert Q.above == P.above
+        relation = [[i + 1, j + 1] for i, j in P.relation_pairs()]
+        Q = poset_from_json({"n": P.n, "relation": relation, "witness": list(p.values)})
+        assert Q.above == P.above and Q.witness == p
 
     @given(permutations_st(max_n=12))
     @settings(max_examples=50)
@@ -85,6 +87,35 @@ class TestConstruction:
         P = poset_from_perm(p)
         again = poset_from_relation(P.n, P.cover_pairs())
         assert again.above == P.above
+
+
+class TestInduced:
+    @given(permutations_st(max_n=14), st.data())
+    @settings(max_examples=80)
+    def test_witnessed_subposet_matches_relation_closure(self, p, data):
+        P = poset_from_perm(p)
+        keep = data.draw(st.lists(st.integers(0, P.n - 1), unique=True))
+        Q = P.induced(keep)
+        pos = {e: idx for idx, e in enumerate(sorted(keep))}
+        pairs = [(pos[i], pos[j]) for i, j in P.relation_pairs() if i in pos and j in pos]
+        R = poset_from_relation(len(keep), pairs)
+        assert (Q.n, Q.above, Q.below) == (R.n, R.above, R.below)
+        if keep:
+            assert poset_from_perm(Q.witness).above == R.above
+        else:
+            assert Q.witness is None
+
+    def test_witnessed_subposets_build_no_relation_poset(self, monkeypatch):
+        P = poset_from_perm(random_permutation(random.Random(40), 40))
+        sigma = poset_from_perm(build_sigma_extremal(3, 1))
+
+        def refuse(*args):
+            raise AssertionError("a witnessed subposet was closed as a relation")
+
+        monkeypatch.setattr(posets, "poset_from_relation", refuse)
+        assert prune(P, 2, 3).rounds
+        report = verify_example_structure(sigma, 3)
+        assert report.case == "i" and report.passed
 
 
 class TestDual:
