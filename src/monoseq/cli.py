@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -238,7 +239,10 @@ _POSET_ACTIONS = {
     "decompose": (None, lambda P, a: _decompose(P, a.k)),
     "hk": ("k", lambda P, a: {"h_k": str(h_k(P, a.k))}),
     "surplus": ("k", lambda P, a: {"surplus": surplus(P, a.k), "height": height(P)}),
-    "prune": ("t", lambda P, a: {"prune": prune(P, a.k or 1, a.t).to_json_dict()}),
+    "prune": (
+        "t",
+        lambda P, a: {"prune": prune(P, 1 if a.k is None else a.k, a.t).to_json_dict()},
+    ),
     "verify-example": (
         "k",
         lambda P, a: {"report": verify_example_structure(P, a.k).to_json_dict()},
@@ -356,6 +360,7 @@ def _cmd_repro(args) -> None:
     _write(_csv(probe), args.out and args.out + ".q1.csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="monoseq", description=__doc__)
     parser.add_argument("--workers", type=int, default=None, help="parallel workers for search")
@@ -421,7 +426,8 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command.  Workers and budget are resolved before it runs, so
     a malformed MONOSEQ_WORKERS or MONOSEQ_BUDGET fails before any work.
     A command returns a JSON payload (a dict), which gets the run config
-    embedded, or text; either goes to --out or stdout."""
+    embedded, or text; either goes to --out or stdout.  The parser is built
+    once per process; each parse returns a fresh namespace."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

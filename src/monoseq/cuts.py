@@ -142,13 +142,15 @@ def prune(P: Poset, k: int, t: int) -> PruneResult:
 
     Needs a witness because the flip takes duals.  Removed ids are recorded
     in the labeling current at each round (deletions relabel).  ``k`` only
-    scopes the run; the procedure itself does not depend on it.
+    scopes the run and is checked like every other poset action's k; the
+    procedure itself does not depend on it.
     """
     if P.witness is None and P.n > 0:
         raise ValidationError("prune requires an order-dimension-2 witness")
+    if k < 1:
+        raise ValidationError("k must be >= 1")
     if t < 1:
         raise ValidationError("t must be >= 1")
-    _ = k
     rounds: list[PruneRound] = []
     current = P
     while current.n > 0:

@@ -5,9 +5,11 @@ order is stored as dense bitmask rows in both directions, so comparability
 queries are O(1) and the decomposition loops stay cheap at desk scale.  The
 rows come from two constructors, ``poset_from_perm`` (one sweep over a
 permutation's values) and ``poset_from_relation`` (a relation closed in
-graphlib's topological order), or from ``reverse_order``'s swap of the two
-row tuples.  Only ``poset_from_perm`` attaches a witness, and
-``poset_from_json`` is the one place a witness is checked against a relation.
+graphlib's topological order: ``above`` rows over the direct successors,
+then ``below`` rows over the direct predecessors in the reverse order), or
+from ``reverse_order``'s swap of the two row tuples.  Only
+``poset_from_perm`` attaches a witness, and ``poset_from_json`` is the one
+place a witness is checked against a relation.
 
 A witness is a permutation realizing the poset: element i is below j
 exactly when i < j as positions and witness(i) < witness(j) as values.
@@ -21,8 +23,10 @@ dimension-2 case.
 
 Without a witness, chains are counted by a predecessor DP and antichains
 by a bitmask backtracking count.  It counts the last element of each
-antichain by popcount, so one node of ``ANTICHAIN_NODE_BUDGET`` is one
-partial antichain still short of at least one element.
+antichain by popcount, and the last pair by popcount over each element's
+incomparable lower ids, so neither is enumerated; one node of
+``ANTICHAIN_NODE_BUDGET`` is still one partial antichain of 1 to m - 1
+elements.
 """
 
 from __future__ import annotations
@@ -121,28 +125,33 @@ def poset_from_relation(n: int, pairs: Iterable[tuple[int, int]]) -> Poset:
     """Build from 0-based strict pairs; covering pairs suffice, closure is computed."""
     if n < 0:
         raise ValidationError("poset size must be nonnegative")
-    adj = [0] * n
+    up = [0] * n
+    down = [0] * n
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise ValidationError(f"bad relation pair ({i}, {j})")
-        adj[i] |= 1 << j
+        up[i] |= 1 << j
+        down[j] |= 1 << i
 
-    # Successors come first, so each row closes over rows already closed.
-    succ = [list(iter_bits(mask)) for mask in adj]
+    succ = [list(iter_bits(mask)) for mask in up]
     try:
         order = list(TopologicalSorter(dict(enumerate(succ))).static_order())
     except CycleError:
         raise ValidationError("relation has a cycle; not a strict partial order") from None
+    # Successors come first in ``order`` and predecessors first in its
+    # reverse, so each row closes over rows already closed.
     above = [0] * n
     for i in order:
-        acc = adj[i]
+        acc = up[i]
         for j in succ[i]:
             acc |= above[j]
         above[i] = acc
     below = [0] * n
-    for i in range(n):
-        for j in iter_bits(above[i]):
-            below[j] |= 1 << i
+    for i in reversed(order):
+        acc = down[i]
+        for j in iter_bits(down[i]):
+            acc |= below[j]
+        below[i] = acc
     return Poset(n, tuple(above), tuple(below))
 
 
@@ -362,36 +371,47 @@ def count_antichains_of_size(P: Poset, m: int) -> int:
     by the ``monoseq.counting`` kernel on the witness's values read backwards.
     Without one it is a budgeted backtracking count over independent sets of
     the comparability graph, since the general problem blows up.  One budget
-    node is one antichain of 1 to m - 1 elements reached on the way; the
-    m-th element is counted from the candidates left, not enumerated.
+    node is one antichain of 1 to m - 1 elements reached on the way; a stack
+    entry adds all its children to the node count at once, so an exceeded
+    budget may report the total at the end of that batch.  Neither the last
+    element nor the last pair is enumerated: the last element is counted by
+    popcount over the candidates left, and the last pair, once i is chosen
+    from them, by popcount over ``lower[i]`` and the candidates below i.
     """
     if m < 1:
         raise ValidationError("antichain size must be >= 1")
     if P.witness is not None:
         return count_decreasing_exact(P.witness, m)
-    related = [P.above[i] | P.below[i] for i in range(P.n)]
-    # Sets are built from the highest id down: choosing i leaves the smaller
-    # candidates not related to i.  A branch stops as soon as fewer
-    # candidates are left than ids are needed.
+    if m == 1:
+        return P.n
+    # lower[i]: the ids below i that are incomparable with i.  Sets are built
+    # from the highest id down: choosing i leaves the candidates in lower[i].
+    # A node with c candidates and left ids still needed chooses each of its
+    # c - left + 1 highest candidates in turn, since fewer than left
+    # candidates cannot finish a set.
+    lower = [((1 << i) - 1) & ~(P.above[i] | P.below[i]) for i in range(P.n)]
     nodes = 0
     total = 0
     stack = [((1 << P.n) - 1, m)]
     while stack:
         cand, left = stack.pop()
-        if left == 1:
-            total += cand.bit_count()
+        c = cand.bit_count() - left + 1
+        if c <= 0:
             continue
-        while cand.bit_count() >= left:
-            nodes += 1
-            if nodes > ANTICHAIN_NODE_BUDGET:
-                raise BudgetExceededError(
-                    "antichain enumeration exceeded its node budget",
-                    needed=nodes,
-                    budget=ANTICHAIN_NODE_BUDGET,
-                )
+        nodes += c
+        if nodes > ANTICHAIN_NODE_BUDGET:
+            raise BudgetExceededError(
+                "antichain enumeration exceeded its node budget",
+                needed=nodes,
+                budget=ANTICHAIN_NODE_BUDGET,
+            )
+        for _ in range(c):
             i = cand.bit_length() - 1
             cand ^= 1 << i
-            stack.append((cand & ~related[i], left - 1))
+            if left == 2:
+                total += (lower[i] & cand).bit_count()
+            else:
+                stack.append((lower[i] & cand, left - 1))
     return total
 
 

@@ -23,6 +23,7 @@ from monoseq.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION,
     SURPLUS_T_MAX,
+    build_parser,
     dispatch,
 )
 from monoseq.perms import build_sigma_extremal, build_tau, m_tau_formula, parse_permutation
@@ -227,6 +228,15 @@ class TestPoset:
         assert len(payload["prune"]["rounds"]) == 3
         # Each round removes the bottom of what is left, id 1 in the relabeled poset.
         assert [r["removed"] for r in payload["prune"]["rounds"]] == [[1], [1], [1]]
+
+    @pytest.mark.parametrize("k", ["-5", "0"])
+    def test_prune_k_out_of_range_is_validation_error(self, k, capsys):
+        text = poset_input(poset_from_perm(parse_permutation("1 2 3")))
+        argv = ["poset", "prune", "--k", k, "--t", "1"]
+        assert run_cli(argv, stdin_text=text) == (EXIT_VALIDATION, "")
+        assert "k must be >= 1" in capsys.readouterr().err
+        code, out = run_cli(["poset", "prune", "--t", "1"], stdin_text=text)
+        assert code == EXIT_OK and "k" not in json.loads(out)["config"]["flags"]
 
     def test_verify_example(self):
         P = poset_from_perm(build_sigma_extremal(3, 2))
@@ -435,6 +445,15 @@ class TestContracts:
         assert code == EXIT_USAGE
         code, _ = run_cli(["count", "--wat"])
         assert code == EXIT_USAGE
+
+    def test_parser_is_built_once_and_keeps_no_arguments(self, capsys):
+        assert build_parser() is build_parser()
+        text = poset_input(poset_from_perm(build_tau(2, 7)))
+        assert run_cli(["poset", "hk", "--k", "3"], stdin_text=text)[0] == EXIT_OK
+        assert run_cli(["poset", "hk"], stdin_text=text) == (EXIT_VALIDATION, "")
+        assert "requires --k" in capsys.readouterr().err
+        code, out = run_cli(["--help"])
+        assert code == EXIT_OK and out.startswith("usage: monoseq")
 
     def test_byte_identical_reruns(self):
         a = run_cli(["search", "exhaustive", "--n", "6", "--k", "2"])

@@ -170,6 +170,10 @@ class TestPrune:
         with pytest.raises(ValidationError):
             prune(chain_poset(3), 2, 0)
 
+    def test_rejects_bad_k(self):
+        with pytest.raises(ValidationError, match="k must be >= 1"):
+            prune(chain_poset(3), 0, 1)
+
     @given(permutations_st(min_n=1, max_n=10), st.integers(min_value=1, max_value=3))
     @settings(max_examples=40, deadline=None)
     def test_terminates_at_fixpoint_or_empty(self, p, t):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoseq.counting import count_monotone
+from monoseq.counting import count_decreasing_exact, count_monotone
 from monoseq.errors import BudgetExceededError, ValidationError
 from monoseq.perms import Permutation, build_sigma_extremal, build_tau, identity
 from monoseq import posets
@@ -87,6 +87,33 @@ class TestConstruction:
         P = poset_from_perm(p)
         again = poset_from_relation(P.n, P.cover_pairs())
         assert again.above == P.above
+
+    def test_rows_are_the_closure_and_its_transpose(self):
+        # Shuffled ids, with transitive and repeated pairs in the input.
+        rng = random.Random(20261020)
+        for _ in range(60):
+            n = rng.randint(0, 40)
+            label = list(range(n))
+            rng.shuffle(label)
+            density = rng.random() * 0.3
+            pairs = [
+                (label[i], label[j])
+                for i, j in combinations(range(n), 2)
+                if rng.random() < density
+            ]
+            pairs += [(a, c) for a, b in pairs for b2, c in pairs if b == b2][:n]
+            pairs += rng.sample(pairs, len(pairs) // 3)
+            P = poset_from_relation(n, pairs)
+            succ = {i: {j for a, j in pairs if a == i} for i in range(n)}
+            for i in range(n):
+                reach, todo = set(), list(succ[i])
+                while todo:
+                    j = todo.pop()
+                    if j not in reach:
+                        reach.add(j)
+                        todo.extend(succ[j])
+                assert P.above[i] == sum(1 << j for j in reach)
+                assert P.below[i] == sum(1 << j for j in range(n) if P.above[j] >> i & 1)
 
 
 class TestInduced:
@@ -290,6 +317,33 @@ class TestAntichainCounting:
         monkeypatch.setattr(posets, "ANTICHAIN_NODE_BUDGET", 5)
         with pytest.raises(BudgetExceededError):
             count_antichains_of_size(stripped, 6)
+
+    @pytest.mark.parametrize(
+        "n, pairs, m, count, nodes",
+        [
+            (12, [], 6, 924, 791),
+            (12, [(0, 5), (1, 5), (2, 6), (3, 7), (6, 9), (4, 10)], 4, 224, 152),
+        ],
+    )
+    def test_witness_free_node_budget_is_pinned(self, monkeypatch, n, pairs, m, count, nodes):
+        # Each count takes exactly `nodes` budget nodes: that budget passes
+        # and one node fewer raises.
+        P = poset_from_relation(n, pairs)
+        monkeypatch.setattr(posets, "ANTICHAIN_NODE_BUDGET", nodes)
+        assert count_antichains_of_size(P, m) == count
+        monkeypatch.setattr(posets, "ANTICHAIN_NODE_BUDGET", nodes - 1)
+        with pytest.raises(BudgetExceededError):
+            count_antichains_of_size(P, m)
+
+    def test_witness_free_matches_decreasing_counts_at_scale(self):
+        # The antichains of a permutation's poset are its decreasing
+        # subsequences; the stripped copy counts them by backtracking.
+        rng = random.Random(20261019)
+        for n in range(30, 61):
+            p = random_permutation(rng, n)
+            stripped = poset_from_relation(n, poset_from_perm(p).relation_pairs())
+            for m in range(2, 7):
+                assert count_antichains_of_size(stripped, m) == count_decreasing_exact(p, m)
 
 
 class TestHomogenousCount:
