@@ -19,7 +19,7 @@ from math import comb
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     """A bijection on {1, ..., n} in one-line notation."""
 

@@ -1,17 +1,18 @@
 """Exhaustive and heuristic minimization of the monotone-subsequence count,
 plus the exhaustive poset analogue.
 
-The exhaustive engine runs a lexicographic DFS over one-line prefixes and
-prunes any prefix whose in-prefix count already exceeds the best known
-value.  It keeps the layered count indexed by value: for each length t and
-value w, the monotone t-subsequences of the prefix that end at w, so
-placing a value takes one prefix sum per layer and direction.  The
-stacked-block formula seeds the bound (the block permutation is always a
-candidate), so the bound is sound from the first node.  Orbit symmetry
-under reverse/complement/inverse cuts the tree through necessary
-conditions on the lexicographically least orbit member; witnesses are
-canonicalized at the leaves, so reported minimizers are orbit
-representatives.
+The exhaustive engine runs a lexicographic DFS over one-line prefixes.
+It keeps the layered count indexed by value: for each length t <= k and
+value w, the monotone t-subsequences of the prefix that end at w.  One
+prefix-sum pass over layer k prices every candidate value at a node, and
+a candidate whose prefix count would exceed the best known value is cut
+before it is placed; placing a survivor fills layers 1..k, one slice sum
+per layer and direction.  The stacked-block formula seeds the bound (the
+block permutation is always a candidate), so the bound is sound from the
+first node.  Orbit symmetry under reverse/complement/inverse cuts the
+tree through necessary conditions on the lexicographically least orbit
+member; witnesses are canonicalized at the leaves, so reported minimizers
+are orbit representatives.
 
 Workers split the space by the first two positions and never share state,
 which keeps results and visit counts bit-reproducible for a fixed
@@ -30,6 +31,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .config import DEFAULT_BUDGETS, Budgets
@@ -71,33 +73,41 @@ class SearchResult:
 
 
 def _search_task(args) -> tuple[int, list[tuple[int, ...]], int, bool]:
-    """DFS below one fixed prefix; returns (best, canonical witnesses, nodes, truncated)."""
+    """DFS below one fixed prefix; returns (best, canonical witnesses, nodes, truncated).
+
+    Each candidate v at a node is priced before the tables change: placing
+    it closes the increasing k-subsequences ending below v and the
+    decreasing ones ending above v, so its price is count +
+    sum(inc[k][:v]) + sum(dec[k][v+1:]), read off one prefix-sum pass over
+    layer k per node.  Only a candidate priced within the incumbent is
+    pushed, and a push fills layers 1..k at v, the layers a later position
+    reads.  Every priced candidate is one visited node, pushed or not.
+    """
     n, k, prefix, bound, node_budget, witness_cap = args
-    L = k + 1
 
     vals: list[int] = []
     # inc[t][w] / dec[t][w]: increasing / decreasing t-subsequences of the
     # prefix that end at value w; a value not yet placed reads 0 in every
     # layer, so inc[1][w] is 1 exactly when w is placed.
-    inc = [[0] * (n + 1) for _ in range(L + 1)]
-    dec = [[0] * (n + 1) for _ in range(L + 1)]
+    inc = [[0] * (n + 1) for _ in range(k + 1)]
+    dec = [[0] * (n + 1) for _ in range(k + 1)]
     used = inc[1]
+    inc_k, dec_k = inc[k], dec[k]
 
     best = bound
     witnesses: set[tuple[int, ...]] = set()
     nodes = 0
     truncated = False
 
-    def push(v: int, count: int) -> int:
+    def push(v: int) -> None:
         inc[1][v] = dec[1][v] = 1
-        for t in range(2, L + 1):
+        for t in range(2, k + 1):
             inc[t][v] = sum(inc[t - 1][:v])
             dec[t][v] = sum(dec[t - 1][v + 1 :])
         vals.append(v)
-        return count + inc[L][v] + dec[L][v]
 
     def pop(v: int) -> None:
-        for t in range(1, L + 1):
+        for t in range(1, k + 1):
             inc[t][v] = dec[t][v] = 0
         vals.pop()
 
@@ -120,10 +130,14 @@ def _search_task(args) -> tuple[int, list[tuple[int, ...]], int, bool]:
         # [p1, n+1-p1]; past that window the branch cannot be canonical.
         if pos > window_hi and (not used[1] or not used[n]):
             return
+        ends_allowed = p1 <= pos <= window_hi
+        # below[v] = count + sum(inc[k][:v]); above[n - v] = sum(dec[k][v+1:]).
+        below = list(accumulate(inc_k, initial=count))
+        above = list(accumulate(reversed(dec_k), initial=0))
         for v in range(1, n + 1):
             if used[v]:
                 continue
-            if v in (1, n) and not (p1 <= pos <= window_hi):
+            if not ends_allowed and v in (1, n):
                 continue
             nodes += 1
             if nodes > node_budget:
@@ -132,15 +146,17 @@ def _search_task(args) -> tuple[int, list[tuple[int, ...]], int, bool]:
                     needed=nodes,
                     budget=node_budget,
                 )
-            new_count = push(v, count)
+            new_count = below[v] + above[n - v]
             if new_count <= best:
+                push(v)
                 dfs(new_count)
-            pop(v)
+                pop(v)
 
     count = 0
     # _prefixes already applies the position-1 and position-2 rules.
     for v in prefix:
-        count = push(v, count)
+        count += sum(inc_k[:v]) + sum(dec_k[v + 1 :])
+        push(v)
     if count <= best:
         dfs(count)
     return best, sorted(witnesses), nodes, truncated
@@ -316,6 +332,8 @@ def heuristic_min(
     """
     if n < 1 or k < 1:
         raise ValidationError("n and k must be positive")
+    if trials < 0 or max_steps < 0:
+        raise ValidationError("trials and max_steps must be >= 0")
     rng = random.Random(seed)
     evaluations = 0
 
@@ -326,7 +344,7 @@ def heuristic_min(
 
     best_word = build_tau(k, n).values
     best_value = value(best_word)
-    for _ in range(max(0, trials)):
+    for _ in range(trials):
         current = list(range(1, n + 1))
         rng.shuffle(current)
         current_value = value(tuple(current))

@@ -401,6 +401,10 @@ class TestSearch:
         payload = json.loads(out)
         assert payload["is_upper_bound"] and int(payload["minimum"]) <= 7
 
+    def test_heuristic_negative_trials_is_validation_error(self):
+        code, out = run_cli(["search", "heuristic", "--n", "5", "--k", "2", "--trials", "-1"])
+        assert (code, out) == (EXIT_VALIDATION, "")
+
     def test_heuristic_with_k_far_past_n(self):
         code, out = run_cli(["search", "heuristic", "--n", "12", "--k", "1000000000"])
         assert code == EXIT_OK and json.loads(out)["minimum"] == "0"

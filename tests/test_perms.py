@@ -1,4 +1,6 @@
 import json
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import comb
 
@@ -41,6 +43,17 @@ class TestPermutationType:
         p = build_tau(3, 13)
         assert parse_permutation(p.to_line()) == p
         assert permutation_from_json(json.loads(json.dumps(p.to_json_dict()))) == p
+
+    def test_slotted_and_picklable(self):
+        # Slots keep a retained witness list small; pickling and value
+        # equality must survive them.
+        p = build_tau(3, 13)
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            p.values = (1,)
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and hash(q) == hash(p) and q is not p
+        assert len({p, q, Permutation(p.values[::-1])}) == 2
 
     def test_json_rejects_inconsistent_n(self):
         with pytest.raises(ValidationError):

@@ -117,6 +117,23 @@ class TestExhaustiveMin:
         # change which nodes the search visits.
         assert exhaustive_min(9, 2).states_visited == 176_141
         assert exhaustive_min(9, 3).states_visited == 56_103
+        # At k >= 4 a push fills more than one layer past the first.
+        for (n, k), pinned in {(8, 4): (0, 3_432, 28_864), (7, 5): (0, 681, 4_312)}.items():
+            result = exhaustive_min(n, k)
+            assert (result.minimum, len(result.witnesses), result.states_visited) == pinned
+            assert not result.witnesses_truncated
+
+    def test_orbits_at_k4_match_a_reduction_free_sweep(self):
+        # Every permutation of [7] without a monotone 5-subsequence, grouped
+        # into orbits by canonical_form: the search must keep exactly these.
+        orbits = {
+            canonical_form(vals)
+            for vals in iter_permutations(range(1, 8))
+            if count_monotone(Permutation(vals), 4).total == 0
+        }
+        result = exhaustive_min(7, 4)
+        assert result.minimum == 0 and not result.witnesses_truncated
+        assert {w.values for w in result.witnesses} == orbits
 
     def test_size_cap(self):
         with pytest.raises(BudgetExceededError):
@@ -260,6 +277,15 @@ class TestHeuristicMin:
         assert 4 <= result.minimum <= 5
         assert result.minimum >= 20 - 16
         assert result.minimum <= m_tau_formula(4, 20)
+
+    @pytest.mark.parametrize("trials,max_steps", [(-1, 200), (3, -1)])
+    def test_rejects_negative_trials_or_steps(self, trials, max_steps):
+        with pytest.raises(ValidationError):
+            heuristic_min(5, 2, trials=trials, max_steps=max_steps)
+
+    def test_zero_trials_keep_the_block_seed(self):
+        result = heuristic_min(5, 2, trials=0)
+        assert (result.minimum, result.states_visited) == (m_tau_formula(2, 5), 1)
 
     def test_a_mispriced_swap_is_caught(self, monkeypatch):
         monkeypatch.setattr(search, "swap_price", lambda word, i, k: -1)
