@@ -5,11 +5,13 @@ order is stored as dense bitmask rows in both directions, so comparability
 queries are O(1) and the decomposition loops stay cheap at desk scale.  The
 rows come from two constructors, ``poset_from_perm`` (one sweep over a
 permutation's values) and ``poset_from_relation`` (a relation closed in
-graphlib's topological order: ``above`` rows over the direct successors,
-then ``below`` rows over the direct predecessors in the reverse order), or
-from ``reverse_order``'s swap of the two row tuples.  Only
-``poset_from_perm`` attaches a witness, and ``poset_from_json`` is the one
-place a witness is checked against a relation.
+Kahn's topological order, where an element closes once all its direct
+successors have: ``above`` rows over the direct successors, then ``below``
+rows over the direct predecessors in the reverse order; an element that
+never closes lies on or below a cycle), or from ``reverse_order``'s swap of
+the two row tuples.  Only ``poset_from_perm`` attaches a witness, and
+``poset_from_json`` is the one place a witness is checked against a
+relation.
 
 A witness is a permutation realizing the poset: element i is below j
 exactly when i < j as positions and witness(i) < witness(j) as values.
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .counting import count_decreasing_exact, count_increasing_exact
@@ -133,19 +134,24 @@ def poset_from_relation(n: int, pairs: Iterable[tuple[int, int]]) -> Poset:
         up[i] |= 1 << j
         down[j] |= 1 << i
 
-    succ = [list(iter_bits(mask)) for mask in up]
-    try:
-        order = list(TopologicalSorter(dict(enumerate(succ))).static_order())
-    except CycleError:
-        raise ValidationError("relation has a cycle; not a strict partial order") from None
-    # Successors come first in ``order`` and predecessors first in its
-    # reverse, so each row closes over rows already closed.
+    # Kahn's order from the top: an element closes its ``above`` row once
+    # none of its direct successors is pending, and ``order`` grows while it
+    # is walked.  Predecessors come first in the reverse, so each ``below``
+    # row closes over rows already closed too.
+    pending = [mask.bit_count() for mask in up]
+    order = [i for i in range(n) if not pending[i]]
     above = [0] * n
     for i in order:
         acc = up[i]
-        for j in succ[i]:
+        for j in iter_bits(up[i]):
             acc |= above[j]
         above[i] = acc
+        for j in iter_bits(down[i]):
+            pending[j] -= 1
+            if not pending[j]:
+                order.append(j)
+    if len(order) < n:
+        raise ValidationError("relation has a cycle; not a strict partial order")
     below = [0] * n
     for i in reversed(order):
         acc = down[i]
@@ -162,7 +168,7 @@ def poset_from_json(data) -> Poset:
     if type(n) is not int:
         raise ValidationError(f"poset size must be an integer, got {n!r}")
     if not isinstance(relation, list) or not all(
-        isinstance(e, (list, tuple)) and len(e) == 2 and all(type(x) is int for x in e)
+        isinstance(e, (list, tuple)) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
         for e in relation
     ):
         raise ValidationError("poset relation must be a list of [i, j] integer pairs")

@@ -18,7 +18,8 @@ Workers split the space by the first two positions and never share state,
 which keeps results and visit counts bit-reproducible for a fixed
 (n, k, budget, seed, workers) tuple.  Each prefix task may visit an equal
 share of the node budget, so whether a run fits its budget does not depend
-on the workers either.
+on the workers either.  The process pool is imported on the first
+parallel run, so ``import monoseq`` does not load multiprocessing.
 
 The poset enumerator, min_hk_over_posets, places ids along a linear
 extension and counts each homogenous (k+1)-set at its top id; its
@@ -29,7 +30,6 @@ its O(k) count updates.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
@@ -218,8 +218,11 @@ def exhaustive_min(
     elif workers == 1:
         outcomes = [_search_task(t) for t in tasks]
     else:
-        # A forked pool starts all of its workers at the first submit, so it
-        # gets no more workers than there are tasks.
+        # Imported here so that importing the package loads no
+        # multiprocessing.  A forked pool starts all of its workers at the
+        # first submit, so it gets no more workers than there are tasks.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             outcomes = list(pool.map(_search_task, tasks, chunksize=1))
 

@@ -63,6 +63,9 @@ class TestConstruction:
             poset_from_relation(3, [(0, 1), (1, 2), (2, 0)])
         with pytest.raises(ValidationError):
             poset_from_relation(2, [(0, 1), (1, 0)])
+        # 4 closes and 3 waits on the cycle 0 -> 1 -> 2 -> 0 above it.
+        with pytest.raises(ValidationError, match="has a cycle"):
+            poset_from_relation(5, [(3, 0), (0, 1), (1, 2), (2, 0), (3, 4)])
 
     def test_rejects_bad_witness(self):
         with pytest.raises(ValidationError, match="does not realize"):

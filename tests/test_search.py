@@ -1,3 +1,4 @@
+import concurrent.futures
 from itertools import permutations as iter_permutations
 
 import pytest
@@ -92,7 +93,9 @@ class TestExhaustiveMin:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+        # exhaustive_min imports the pool when it needs one, so the patch
+        # goes on the module it is imported from.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         wide = exhaustive_min(6, 2, workers=64)
         assert sizes == [13]
         assert wide == exhaustive_min(6, 2, workers=1)

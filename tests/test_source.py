@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import monoseq
@@ -59,3 +63,29 @@ def test_no_new_recursion():
         for name in _self_recursive_functions(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == ["search._search_task.dfs", "search.min_hk_over_posets.rec"], found
+
+
+_IMPORTS_SCRIPT = """
+import json, sys
+import monoseq, monoseq.cli
+from monoseq.search import exhaustive_min
+heavy = ("concurrent.futures", "multiprocessing", "graphlib")
+on_import = [m for m in heavy if m in sys.modules]
+same = exhaustive_min(6, 2, workers=2) == exhaustive_min(6, 2, workers=1)
+print(json.dumps([on_import, same, "concurrent.futures.process" in sys.modules]))
+"""
+
+
+def test_process_pool_is_imported_on_the_first_parallel_run():
+    # Every CLI call and benchmark process imports the package, so the
+    # modules behind the process pool load only when a search runs on
+    # more than one worker.  A fresh interpreter sees no test imports.
+    env = {**os.environ, "PYTHONPATH": str(Path(monoseq.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_SCRIPT], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    on_import, same, pool_loaded = json.loads(proc.stdout)
+    assert on_import == []
+    assert same
+    assert pool_loaded
