@@ -1,16 +1,22 @@
 """Exact counting of monotone subsequences of a fixed length.
 
-One private kernel takes a list of distinct positive values and counts its
-increasing subsequences of every length up to a cap over a value-indexed
-binary indexed tree.  One tree pass counts as many lengths as fit in
-PACKED_BITS bits of one integer per tree entry, each in a slot as wide as
-the largest count a length up to the cap can reach, so every count stays
-exact.  It stops at the first all-zero length.  Decreasing counts run the
-kernel on the values read backwards, the chains and antichains of a
-dimension-2 poset (``monoseq.posets``) on the poset's witness, and
-``swap_price``, which prices an adjacent swap for the hill climb of
-``monoseq.search``, on two filtered value lists, so there is a single code
-path to trust.  A plain subset-enumeration oracle cross-checks it.
+Two code paths count.  Lengths up to 3 of a permutation of [n], in both
+directions, come from one pass over a binary indexed tree of plain small
+integers (``_short_totals``): the number b of earlier smaller values at
+each position, with the value and the position, gives all four
+neighbourhoods of that position, and every pair and triple is counted
+there.  Longer lengths come from a private packed kernel that takes a list
+of distinct positive values and counts its increasing subsequences of
+every length up to a cap over a value-indexed binary indexed tree.  One
+tree pass of it counts as many lengths as fit in PACKED_BITS bits of one
+integer per tree entry, each in a slot as wide as the largest count a
+length up to the cap can reach, so every count stays exact.  It stops at
+the first all-zero length.  Decreasing counts run the packed kernel on the
+values read backwards, the chains and antichains of a dimension-2 poset
+(``monoseq.posets``) on the poset's witness, and ``swap_price``, which
+prices an adjacent swap for the hill climb of ``monoseq.search``, on two
+filtered value lists.  A plain subset-enumeration oracle cross-checks both
+paths.
 """
 
 from __future__ import annotations
@@ -114,6 +120,36 @@ def _chain_totals(values: list[int] | tuple[int, ...], top: int) -> list[int]:
     return (totals + [0] * top)[: top + 1]
 
 
+def _short_totals(values: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Increasing and decreasing totals for L = 0..3 of a permutation of [n]
+    from one tree pass, each laid out like ``_chain_totals(values, 3)``.
+
+    At position j with value v, b earlier values are smaller, so j - b
+    earlier ones are larger, v - 1 - b later ones smaller and
+    n - v - j + b later ones larger.  A pair is counted at its second
+    member, so b pairs rise into v and the other C(n, 2) - sum(b) pairs
+    fall.  A triple is counted at its middle member: the earlier smaller
+    times the later larger ones rise through v, and the earlier larger
+    times the later smaller ones fall.
+    """
+    n = len(values)
+    tree = [0] * (n + 1)
+    pairs = rising = falling = 0
+    for j, v in enumerate(values):
+        i, b = v - 1, 0
+        while i:
+            b += tree[i]
+            i &= i - 1
+        i = v
+        while i <= n:
+            tree[i] += 1
+            i += i & -i
+        pairs += b
+        rising += b * (n - v - j + b)
+        falling += (j - b) * (v - 1 - b)
+    return [1, n, pairs, rising], [1, n, comb(n, 2) - pairs, falling]
+
+
 def swap_price(word: list[int], i: int, k: int) -> int:
     """Change in the count of monotone (k+1)-subsequences of the permutation
     word when word[i] and word[i+1] trade places.
@@ -157,9 +193,13 @@ def count_decreasing_exact(p: Permutation, L: int) -> int:
 
 
 def count_monotone(p: Permutation, k: int) -> CountReport:
-    """Exact counts of increasing and decreasing (k+1)-subsequences."""
+    """Exact counts of increasing and decreasing (k+1)-subsequences; both
+    directions from one pass for k <= 2, one packed kernel pass each above."""
     if k < 1:
         raise ValidationError("k must be >= 1")
+    if k <= 2:
+        inc, dec = _short_totals(p.values)
+        return CountReport(k=k, increasing=inc[k + 1], decreasing=dec[k + 1])
     return CountReport(
         k=k,
         increasing=count_increasing_exact(p, k + 1),
@@ -192,9 +232,13 @@ def brute_force_count(p: Permutation, k: int) -> CountReport:
 
 
 def length_profile(p: Permutation, Lmax: int) -> LengthProfile:
-    """Exact counts for every length 2..Lmax in one layered pass per type."""
+    """Exact counts for every length 2..Lmax: both types from one pass for
+    Lmax <= 3, one layered pass per type above."""
     if Lmax < 2:
         raise ValidationError("Lmax must be >= 2")
-    inc = _chain_totals(p.values, Lmax)
-    dec = _chain_totals(p.values[::-1], Lmax)
+    if Lmax <= 3:
+        inc, dec = _short_totals(p.values)
+    else:
+        inc = _chain_totals(p.values, Lmax)
+        dec = _chain_totals(p.values[::-1], Lmax)
     return LengthProfile({L: (inc[L], dec[L]) for L in range(2, Lmax + 1)})

@@ -2,7 +2,7 @@
 
 A height-reducing set is a set of elements meeting every maximum-length
 chain; deleting a minimum one lowers the height by exactly one.  It is
-the minimum cut of one Edmonds-Karp max flow on the vertex-split graph of
+the minimum cut of one Dinic max flow on the vertex-split graph of
 the elements on some maximum chain, whose vertex costs encode the
 lexicographic tie-break; the cut is read off the residual graph.
 """
@@ -19,8 +19,9 @@ from .posets import Poset, dual, height, width
 
 
 class _FlowNet:
-    """Flow network; ``max_flow`` is Edmonds-Karp (BFS shortest augmenting
-    paths, each augmented by its bottleneck), exact for any capacities."""
+    """Flow network; ``max_flow`` is Dinic's (per BFS level graph, a
+    blocking flow of shortest augmenting paths, each augmented by its
+    bottleneck), exact for any capacities."""
 
     def __init__(self, size: int):
         self.size = size
@@ -38,30 +39,57 @@ class _FlowNet:
 
     def max_flow(self, s: int, t: int) -> tuple[int, list[bool]]:
         """Maximum s-t flow, and the source side of a minimum cut: what the
-        last BFS, which fails to reach t, reaches from s."""
+        last BFS, which fails to reach t, reaches from s.
+
+        Each phase levels the residual graph by BFS distance from s, up to
+        t's, then augments shortest paths found by an iterative DFS along
+        edges one level up until none is left.  ``nxt[u]`` skips the edges
+        of u already found saturated or leading to a dead end, so each edge
+        is passed over at most once per phase; a chain as high as
+        ``POSET_MAX_N`` needs no recursion.
+        """
         flow = 0
+        to, cap, adj = self.to, self.cap, self.adj
         while True:
-            via = [-1] * self.size  # via[v] = edge id that first reached v
+            level = [-1] * self.size
+            level[s] = 0
             queue = deque([s])
-            while queue and via[t] < 0:
+            while queue and level[t] < 0:
                 u = queue.popleft()
-                for eid in self.adj[u]:
-                    v = self.to[eid]
-                    if self.cap[eid] > 0 and via[v] < 0 and v != s:
-                        via[v] = eid
+                for eid in adj[u]:
+                    v = to[eid]
+                    if cap[eid] > 0 and level[v] < 0:
+                        level[v] = level[u] + 1
                         queue.append(v)
-            if via[t] < 0:
-                return flow, [v == s or eid >= 0 for v, eid in enumerate(via)]
-            path = []
-            v = t
-            while v != s:
-                path.append(via[v])
-                v = self.to[via[v] ^ 1]
-            push = min(self.cap[eid] for eid in path)
-            for eid in path:
-                self.cap[eid] -= push
-                self.cap[eid ^ 1] += push
-            flow += push
+            if level[t] < 0:
+                return flow, [lv >= 0 for lv in level]
+            nxt = [0] * self.size
+            path: list[int] = []  # edge ids of the s-u path in the level graph
+            u = s
+            while True:
+                if u == t:
+                    push = min(cap[eid] for eid in path)
+                    for eid in path:
+                        cap[eid] -= push
+                        cap[eid ^ 1] += push
+                    flow += push
+                    path.clear()
+                    u = s
+                edges, i = adj[u], nxt[u]
+                while i < len(edges):
+                    eid = edges[i]
+                    if cap[eid] > 0 and level[to[eid]] == level[u] + 1:
+                        break
+                    i += 1
+                nxt[u] = i
+                if i < len(edges):
+                    path.append(eid)
+                    u = to[eid]
+                elif u == s:
+                    break
+                else:
+                    u = to[path.pop() ^ 1]
+                    nxt[u] += 1
 
 
 def min_height_reducing_set(P: Poset) -> list[int]:

@@ -37,7 +37,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .counting import count_decreasing_exact, count_increasing_exact
+from .counting import count_decreasing_exact, count_increasing_exact, count_monotone
 from .errors import BudgetExceededError, ValidationError
 from .perms import Permutation
 
@@ -422,9 +422,15 @@ def count_antichains_of_size(P: Poset, m: int) -> int:
 
 
 def h_k(P: Poset, k: int) -> int:
-    """Number of homogenous (k+1)-sets: chains plus antichains of size k+1."""
+    """Number of homogenous (k+1)-sets: chains plus antichains of size k+1.
+
+    With a witness these are its monotone (k+1)-subsequences, which
+    ``count_monotone`` counts, both kinds in one pass for k <= 2.
+    """
     if k < 1:
         raise ValidationError("k must be >= 1")
+    if P.witness is not None:
+        return count_monotone(P.witness, k).total
     return count_chains_of_size(P, k + 1) + count_antichains_of_size(P, k + 1)
 
 

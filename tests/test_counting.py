@@ -215,6 +215,57 @@ class TestChainKernel:
                 assert counting._chain_totals(list(range(n, 0, -1)), top) == expected
 
 
+def _kernel_pair(values, top):
+    return [counting._chain_totals(values, top), counting._chain_totals(values[::-1], top)]
+
+
+class TestShortTotals:
+    def test_every_small_permutation_matches_the_kernel(self):
+        for n in range(8):
+            for vals in iter_permutations(range(1, n + 1)):
+                inc, dec = counting._short_totals(vals)
+                for top in range(4):
+                    assert [inc[: top + 1], dec[: top + 1]] == _kernel_pair(vals, top), (vals, top)
+
+    def test_long_words_match_the_kernel(self):
+        n = 2000
+        shuffled = list(range(1, n + 1))
+        random.Random(7).shuffle(shuffled)
+        for vals in (tuple(shuffled), tuple(range(1, n + 1)), tuple(range(n, 0, -1))):
+            assert list(counting._short_totals(vals)) == _kernel_pair(vals, 3)
+
+    def test_monotone_words_at_scale(self):
+        n = 10**5
+        up = count_monotone(identity(n), 2)
+        down = count_monotone(identity(n).reverse(), 2)
+        assert (up.increasing, up.decreasing) == (comb(n, 3), 0)
+        assert (down.increasing, down.decreasing) == (0, comb(n, 3))
+
+    def test_no_triples_below_three(self):
+        for vals in ((1,), (1, 2), (2, 1)):
+            report = count_monotone(Permutation(vals), 2)
+            assert (report.increasing, report.decreasing) == (0, 0)
+            assert length_profile(Permutation(vals), 3).per_length[3] == (0, 0)
+
+    def test_only_lengths_past_three_reach_the_packed_kernel(self, monkeypatch):
+        calls = []
+        kernel = counting._chain_totals
+
+        def counted(values, top):
+            calls.append(top)
+            return kernel(values, top)
+
+        monkeypatch.setattr(counting, "_chain_totals", counted)
+        p = build_tau(2, 7)
+        count_monotone(p, 1)
+        count_monotone(p, 2)
+        length_profile(p, 3)
+        assert calls == []
+        count_monotone(p, 3)
+        length_profile(p, 4)
+        assert calls == [4, 4, 4, 4]
+
+
 class TestSwapPrice:
     @given(permutations_st(min_n=2, max_n=14), st.integers(min_value=1, max_value=5))
     @settings(max_examples=120, deadline=None)

@@ -105,21 +105,40 @@ class TestMinHeightReducingSet:
         assert min_height_reducing_set(Q) == [0, 1]
 
     def test_wide_cut_takes_one_augmenting_path_per_chain(self, monkeypatch):
-        # Each path carries its bottleneck, a vertex cost near 2^300, so the
-        # flow takes 100 breadth-first searches that reach the sink and one
-        # that does not; augmenting one unit at a time would not finish.
+        # Each path carries its bottleneck, a vertex cost near 2^300, so
+        # augmenting one unit at a time would not finish.  All 100 paths
+        # are shortest, so one breadth-first search levels them all and one
+        # more finds the sink cut off.
         searches = []
 
         class CountingDeque(deque):
             def __init__(self, *args):
                 searches.append(None)
-                if len(searches) > 101:
-                    raise RuntimeError("more searches than augmenting paths")
+                if len(searches) > 2:
+                    raise RuntimeError("more searches than path lengths")
                 super().__init__(*args)
 
         monkeypatch.setattr(cuts, "deque", CountingDeque)
         assert min_height_reducing_set(disjoint_chains_poset([3] * 100)) == list(range(0, 300, 3))
-        assert len(searches) == 101
+        assert len(searches) == 2
+
+    def test_dense_layered_order_takes_one_search_per_path_length(self, monkeypatch):
+        # Every element of a level lies below every element of the next, so
+        # the 10-element cut meets paths that share vertices; one shortest
+        # augmenting path per search took 181 of them.
+        searches = []
+
+        class CountingDeque(deque):
+            def __init__(self, *args):
+                searches.append(None)
+                super().__init__(*args)
+
+        levels, w = 20, 10
+        pairs = [(a * w + i, (a + 1) * w + j) for a in range(levels - 1) for i in range(w) for j in range(w)]
+        P = poset_from_relation(levels * w, pairs)
+        monkeypatch.setattr(cuts, "deque", CountingDeque)
+        assert min_height_reducing_set(P) == list(range(w))
+        assert len(searches) == 2
 
     def test_cut_not_matching_the_flow_raises(self, monkeypatch):
         max_flow = cuts._FlowNet.max_flow
