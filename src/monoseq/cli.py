@@ -169,7 +169,7 @@ def _cmd_count(args) -> dict:
         payload["oracle_match"] = (
             oracle.increasing == report.increasing and oracle.decreasing == report.decreasing
         )
-    if args.profile:
+    if args.profile is not None:
         if args.profile > p.n:
             raise ValidationError(f"--profile {args.profile} exceeds the length n = {p.n}")
         payload["profile"] = length_profile(p, args.profile).to_json_dict()
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget", type=int, default=None, help="search node budget")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_count = sub.add_parser("count", parents=[], help="count monotone subsequences")
+    p_count = sub.add_parser("count", help="count monotone subsequences")
     p_count.add_argument("--k", type=int, required=True)
     p_count.add_argument("--profile", type=int, default=None, metavar="LMAX")
     p_count.add_argument("--oracle", action="store_true")

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .errors import ValidationError
+
 
 @dataclass(frozen=True)
 class Budgets:
@@ -23,6 +25,10 @@ class Budgets:
     search_state_budget: int = 1_000_000_000
     # Largest n accepted by the exhaustive poset search.
     poset_enum_max_n: int = 9
+
+    def __post_init__(self) -> None:
+        if self.search_state_budget < 0:
+            raise ValidationError(f"search budget must be >= 0, got {self.search_state_budget}")
 
     def with_overrides(self, **kwargs) -> "Budgets":
         return replace(self, **kwargs)

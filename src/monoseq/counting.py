@@ -212,6 +212,8 @@ def brute_force_count(p: Permutation, k: int) -> CountReport:
     if k < 1:
         raise ValidationError("k must be >= 1")
     n, m = p.n, k + 1
+    if m > n:  # combinations() would allocate m indices to yield nothing
+        return CountReport(k=k, increasing=0, decreasing=0)
     work = comb(n, m)
     if work > SUBSET_BUDGET:
         raise BudgetExceededError(

@@ -24,7 +24,7 @@ parallel run, so ``import monoseq`` does not load multiprocessing.
 The poset enumerator, min_hk_over_posets, places ids along a linear
 extension and counts each homogenous (k+1)-set at its top id; its
 docstring gives the soundness argument for its seed, its closing bound and
-its O(k) count updates.
+its down-set counts, packed one slot per subset size into two integers.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import accumulate
+from math import comb
 from typing import Optional
 
 from .config import DEFAULT_BUDGETS, Budgets
@@ -84,6 +85,9 @@ def _search_task(args) -> tuple[int, list[tuple[int, ...]], int, bool]:
     reads.  Every priced candidate is one visited node, pushed or not.
     """
     n, k, prefix, bound, node_budget, witness_cap = args
+    # Layers above n stay 0, so every price is 0 once k >= n: k = n visits
+    # the same nodes and keeps the same witnesses.
+    k = min(k, n)
 
     vals: list[int] = []
     # inc[t][w] / dec[t][w]: increasing / decreasing t-subsequences of the
@@ -378,51 +382,36 @@ def heuristic_min(
     )
 
 
-# A closed down-set D of the ids < j, as a bitmask, mapped to (C_D, A_D):
-# C_D[t] counts the t-chains inside D and A_D[s] the s-antichains among ids
-# < j outside D, for t, s = 0..k, with C_D[0] = A_D[0] = 1.
-_DownSets = dict[int, tuple[list[int], list[int]]]
+# A closed down-set of the ids < j, as a bitmask, mapped to its packed (C_D, A_D).
+_DownSets = dict[int, tuple[int, int]]
 
 
-def _grow(downsets: _DownSets, mask: int, j: int) -> _DownSets:
-    """The down-set map of ids <= j once j goes above the ids in mask.
+def _grow(
+    downsets: _DownSets, mask: int, j: int, width: int, k: int
+) -> tuple[_DownSets, list[int]]:
+    """The down-set map of ids <= j once j goes above the ids in mask, and
+    the count placing j + 1 above each of its keys adds, in key order.
 
-    downsets is the map of ids < j with its keys ascending, and mask is one
-    of them.  A key D keeps C_D and gets A'_D[s] = A_D[s] + A_{D|mask}[s-1];
-    each key D containing mask adds D | {j}, which keeps A_D and gets
-    C'[t] = C_D[t] + C_mask[t-1].  min_hk_over_posets shows why these hold.
-    Bit j is above every key, so the keys stay ascending.
+    downsets is the map of ids < j with its keys ascending; mask is one of
+    them.  With x a shift up by one width-bit slot, a key D gets A_D +
+    x*A_{D|mask}, and each key D containing mask adds D | {j} with C_D +
+    x*C_mask; min_hk_over_posets shows why.  Bit j is above every key, so
+    the keys stay ascending.
     """
-    child = {}
+    shift, slot = k * width, (1 << width) - 1
+    child, placed = {}, []
     for d, (chains, antichains) in downsets.items():
-        joined = downsets[d | mask][1]
-        child[d] = (chains, [1] + [a + b for a, b in zip(antichains[1:], joined)])
-    under = downsets[mask][0]
+        antichains += downsets[d | mask][1] << width
+        child[d] = (chains, antichains)
+        placed.append((chains + antichains) >> shift & slot)
+    under = downsets[mask][0] << width
     bit = 1 << j
     for d, (chains, antichains) in downsets.items():
         if d & mask == mask:
-            child[d | bit] = ([1] + [c + b for c, b in zip(chains[1:], under)], antichains)
-    return child
-
-
-def _placements(downsets: _DownSets, mask: int, k: int) -> list[int]:
-    """The counts placing j + 1 adds above each key of _grow(downsets, mask, j).
-
-    They follow _grow's key order and read its recurrences at index k
-    without building the map: C_D[k] + A_D[k] + A_{D|mask}[k-1] for each key
-    D, then C_D[k] + C_mask[k-1] + A_D[k] for each key D containing mask.
-    """
-    placed = [
-        chains[k] + antichains[k] + downsets[d | mask][1][k - 1]
-        for d, (chains, antichains) in downsets.items()
-    ]
-    under = downsets[mask][0][k - 1]
-    placed += [
-        chains[k] + under + antichains[k]
-        for d, (chains, antichains) in downsets.items()
-        if d & mask == mask
-    ]
-    return placed
+            chains += under
+            child[d | bit] = (chains, antichains)
+            placed.append((chains + antichains) >> shift & slot)
+    return child, placed
 
 
 @dataclass(frozen=True)
@@ -469,30 +458,33 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
     i, so the terms are disjoint, and a child is cut when count + added +
     (n-j-1)*a reaches the incumbent.
 
-    Early cut: a child that survives is scored first, its placement counts
-    read as plain numbers (_placements), and its down-set map is built only
-    if count' + (n-j-1)*a' stays below the incumbent, where count' = count +
-    added and a' is the child's least placement count.  The child's own loop
-    would recurse only when count' + added'' + (n-j-2)*a' is below it, and
-    every added'' >= a', so otherwise no grandchild survives and the
-    incumbent does not move: skipping the child saves only its map, and the
-    DFS order, the minimum and the first minimizer stay the same.  A
+    Guard: a surviving child gets its map and placement counts from _grow
+    and is entered only if count' + (n-j-1)*a' stays below the incumbent,
+    with count' = count + added and a' its least placement count.  Each
+    added'' >= a', so otherwise the child's loop would cut every placement
+    on count' + added'' + (n-j-2)*a': skipping it saves a loop over every
+    key and keeps the DFS order, the minimum and the first minimizer.  A
     surviving placement of the last id is a leaf and updates the incumbent
     at once.
 
-    Counts: each closed down-set D of the prefix carries C_D[t], the
-    t-chains inside D, and A_D[s], the s-antichains of the prefix outside
-    D, so the count placing j above D adds is C_D[k] + A_D[k].  When j goes
-    above M, the ids below j incomparable with j are exactly those outside
-    M, as ids follow a linear extension.  A down-set D without j keeps C_D
-    and gets A'_D[s] = A_D[s] + A_{D|M}[s-1] (the antichains that avoid j,
-    and j with an antichain outside both D and M); D | M is closed, since
-    an id below a member of D or of M lies in D or in M, so its vectors are
-    at hand.  D | {j} is closed exactly when D contains M; it keeps A_D and
-    gets C'[t] = C_D[t] + C_M[t-1] (the chains that avoid j, and j over a
-    chain inside M).  posets_visited counts one per (node, down-set)
-    placement when the placement is evaluated, cut or not, so a child
-    skipped by the early cut still counts all of its placements.
+    Counts: each closed down-set D of the prefix carries two integers in
+    slots of width = C(n, n//2).bit_length() bits: slot t of C_D counts the
+    t-chains inside D, and of A_D the t-antichains of the prefix outside D,
+    so placing j above D adds slot k of C_D + A_D.  When j goes above M,
+    the ids below j incomparable with j are exactly those outside M, as ids
+    follow a linear extension.  With x a shift up by one slot, a down-set D
+    without j keeps C_D and gets A_D + x*A_{D|M} (the antichains that avoid
+    j, and j with an antichain outside both D and M); D | M is closed, since
+    an id below a member of D or of M lies in D or in M.  D | {j} is closed
+    exactly when D contains M; it keeps A_D and gets C_D + x*C_M (the chains
+    that avoid j, and j over a chain inside M).  No slot carries: slot t of
+    C and of A counts t-subsets of the at most n placed ids, and so does C
+    + A for t >= 2, as chains inside D and antichains outside D are
+    disjoint; at t = 1 the sum is j + 1 <= n, and slot 0 of C + A is 2.
+    Each is at most C(n, n//2) < 2**width for n >= 2, and n = 1 never grows
+    a map.  The maps do not depend on k, so no allocation grows with it.
+    posets_visited counts every (node, down-set) placement evaluated, cut
+    or not, so a child skipped by the guard counts all of its placements.
 
     At k = 1 every pair is a chain or an antichain, so every order has
     h_1 = C(n,2) and no order is enumerated: the witness is the antichain,
@@ -506,16 +498,15 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
             needed=n,
             budget=budgets.poset_enum_max_n,
         )
+    width = comb(n, n // 2).bit_length()
     below = [0] * n
     best = m_tau_formula(k, n) + 1
     best_below: Optional[list[int]] = None
     visited = 0
 
     def rec(j: int, count: int, downsets: _DownSets, placed: list[int]) -> None:
-        """Enumerate ids j.. given the closed down-sets of ids < j with their counts.
-
-        placed[i] is the count that placing j above the i-th down-set adds.
-        """
+        """Enumerate ids j.. given the closed down-sets of ids < j, where
+        placed[i] is the count that placing j above the i-th one adds."""
         nonlocal best, best_below, visited
         closing = (n - j - 1) * min(placed)
         for mask, added in zip(downsets, placed):
@@ -525,17 +516,17 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
             if j == n - 1:
                 best, best_below = count + added, list(below)
                 continue
-            following = _placements(downsets, mask, k)
+            child, following = _grow(downsets, mask, j, width, k)
             visited += len(following)
             if count + added + (n - j - 1) * min(following) < best:
-                rec(j + 1, count + added, _grow(downsets, mask, j), following)
+                rec(j + 1, count + added, child, following)
 
     if k == 1:
         best, best_below = n * (n - 1) // 2, [0] * n
     else:
         # The empty prefix has one down-set, and placing id 0 above it adds nothing.
         visited = 1
-        rec(0, 0, {0: ([1] + [0] * k, [1] + [0] * k)}, [0])
+        rec(0, 0, {0: (1, 1)}, [0])
     if best_below is None:
         raise InvariantError("no enumerated order reached the m_tau_formula seed")
 

@@ -125,6 +125,12 @@ class TestCount:
         code, out = run_cli(["count", "--k", "2", "--profile", "3"], stdin_text="1 2 3")
         assert json.loads(out)["profile"]["3"] == {"increasing": 1, "decreasing": 0}
 
+    @pytest.mark.parametrize("lmax", ["0", "1", "-2"])
+    def test_profile_below_two_is_validation_error(self, lmax, capsys):
+        code, out = run_cli(["count", "--k", "2", "--profile", lmax], stdin_text="1 2 3")
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert "Lmax must be >= 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_round_trip_reproduces_formula(self, k):
         for n in range(1, 21):
@@ -412,6 +418,19 @@ class TestSearch:
     def test_budget_exit_code(self):
         code, _ = run_cli(["--budget", "10", "search", "exhaustive", "--n", "8", "--k", "2"])
         assert code == EXIT_BUDGET
+
+    def test_negative_budget_is_validation_error(self, monkeypatch, capsys):
+        code, out = run_cli(["--budget", "-5", "formula", "--k", "3", "--n", "13"])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        monkeypatch.setenv("MONOSEQ_BUDGET", "-5")
+        code, out = run_cli(["search", "exhaustive", "--n", "5", "--k", "2"])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert capsys.readouterr().err.count("search budget must be >= 0") == 2
+        # A budget of 0 is valid; it only fails a run that visits a node.
+        monkeypatch.setenv("MONOSEQ_BUDGET", "0")
+        code, out = run_cli(["formula", "--k", "3", "--n", "13"])
+        assert code == EXIT_OK
+        assert json.loads(out)["config"]["budgets"] == {"search_state_budget": 0}
 
     def test_posets_k1_at_the_size_cap(self):
         code, out = run_cli(["search", "posets", "--n", "9", "--k", "1"])

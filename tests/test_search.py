@@ -1,5 +1,7 @@
 import concurrent.futures
+import tracemalloc
 from itertools import permutations as iter_permutations
+from math import comb
 
 import pytest
 
@@ -22,7 +24,6 @@ from monoseq.posets import (
 from monoseq import search
 from monoseq.search import (
     _grow,
-    _placements,
     exhaustive_min,
     heuristic_min,
     min_hk_over_posets,
@@ -157,6 +158,17 @@ class TestExhaustiveMin:
         short = DEFAULT_BUDGETS.with_overrides(search_state_budget=31_871)
         with pytest.raises(BudgetExceededError):
             exhaustive_min(8, 2, short, workers)
+
+    def test_negative_budget_is_rejected(self):
+        with pytest.raises(ValidationError):
+            DEFAULT_BUDGETS.with_overrides(search_state_budget=-1)
+        assert DEFAULT_BUDGETS.with_overrides(search_state_budget=0).search_state_budget == 0
+
+    def test_k_past_n_visits_the_nodes_of_k_equal_to_n(self):
+        # Past k = n every count is 0, so the layers stop at n.
+        far, near = exhaustive_min(5, 10**5), exhaustive_min(5, 5)
+        assert (far.minimum, far.states_visited, len(far.witnesses)) == (0, 111, 23)
+        assert (far.states_visited, far.witnesses) == (near.states_visited, near.witnesses)
 
     def test_witness_cap_dropped_in_merge_sets_truncated(self, monkeypatch):
         # (8, 2) has 6 minimizing orbits, at most 4 in any one prefix task:
@@ -315,10 +327,26 @@ class TestHeuristicMin:
         assert [w.values for w in result.witnesses] == [witness]
 
 
+def _reference_grow(downsets, mask, j):
+    """The down-set map of ids <= j on list vectors: C_D[t] and A_D[t] for
+    t = 0..k, with A'_D[s] = A_D[s] + A_{D|mask}[s-1] and, for each D
+    containing mask, C'_{D|{j}}[t] = C_D[t] + C_mask[t-1]."""
+    child = {}
+    for d, (chains, antichains) in downsets.items():
+        joined = downsets[d | mask][1]
+        child[d] = (chains, [1] + [a + b for a, b in zip(antichains[1:], joined)])
+    under = downsets[mask][0]
+    for d, (chains, antichains) in downsets.items():
+        if d & mask == mask:
+            child[d | 1 << j] = ([1] + [c + b for c, b in zip(chains[1:], under)], antichains)
+    return child
+
+
 def _reference_poset_minimum(n: int, k: int) -> tuple[int, list[tuple[int, int]], int]:
-    """min_hk_over_posets without the early cut: every surviving placement
-    builds its child's down-set map with _grow, and posets_visited is counted
-    on entering a node.  Returns the minimum, witness relation and count."""
+    """min_hk_over_posets on list vectors and without the guard: every
+    surviving placement builds its child's map with _reference_grow, and
+    posets_visited is counted on entering a node.  Returns the minimum,
+    witness relation and count."""
     below = [0] * n
     best, best_below, visited = m_tau_formula(k, n) + 1, None, 0
 
@@ -334,7 +362,7 @@ def _reference_poset_minimum(n: int, k: int) -> tuple[int, list[tuple[int, int]]
         for mask, added in zip(downsets, placed):
             if count + added + closing < best:
                 below[j] = mask
-                rec(j + 1, count + added, _grow(downsets, mask, j))
+                rec(j + 1, count + added, _reference_grow(downsets, mask, j))
 
     rec(0, 0, {0: ([1] + [0] * k, [1] + [0] * k)})
     pairs = [(i, j) for j in range(n) for i in range(n) if best_below[j] >> i & 1]
@@ -385,38 +413,45 @@ class TestMinHkOverPosets:
 
     def test_down_set_counts_follow_the_recurrence(self):
         # Every order the enumerator reaches at n <= 6, grown one id at a time
-        # by _grow without any cut, once for each k = 2..4.  Each node's keys
-        # must be exactly the closed down-sets of its order, in ascending
-        # order, and each down-set's vectors must match counts made from
-        # scratch on the induced orders.  _placements must read each child's
-        # placement counts, in key order, without building the child.
-        ks = (2, 3, 4)
-        sizes = range(1, max(ks) + 1)
-        stack = [([], [{0: ([1] + [0] * k, [1] + [0] * k)} for k in ks])]
+        # by _grow without any cut.  Each node's keys must be exactly the
+        # closed down-sets of its order, in ascending order, and every slot of
+        # each down-set's two integers must match counts made from scratch on
+        # the induced orders.  The map must not depend on k, and the
+        # placement counts returned for k = 2..4 must be the k-chains inside
+        # plus the k-antichains outside each key, in key order.
+        n, ks = 6, (2, 3, 4)
+        width = comb(n, n // 2).bit_length()
+        sizes = range(1, n + 1)
+
+        def packed(counts):
+            assert all(c < 1 << width for c in counts)
+            return sum(c << t * width for t, c in enumerate(counts))
+
+        stack = [([], {0: (1, 1)}, {})]
         while stack:
-            below, maps = stack.pop()
+            below, downsets, placed = stack.pop()
             j = len(below)
             P = poset_from_relation(j, [(i, x) for x in range(j) for i in iter_bits(below[x])])
             closed = [d for d in range(1 << j) if all(below[x] & ~d == 0 for x in iter_bits(d))]
-            for d in closed:
+            assert list(downsets) == closed, below
+            for i, d in enumerate(closed):
                 inside = P.induced(list(iter_bits(d)))
                 rest = P.induced([x for x in range(j) if not d >> x & 1])
                 chains = [1] + [count_chains_of_size(inside, t) for t in sizes]
-                antichains = [1] + [count_antichains_of_size(rest, s) for s in sizes]
-                for k, downsets in zip(ks, maps):
-                    assert downsets[d] == (chains[: k + 1], antichains[: k + 1]), (below, d, k)
-            for downsets in maps:
-                assert list(downsets) == closed, below
-            if j < 6:
+                antichains = [1] + [count_antichains_of_size(rest, t) for t in sizes]
+                assert downsets[d] == (packed(chains), packed(antichains)), (below, d)
+                for k, counts in placed.items():
+                    assert counts[i] == chains[k] + antichains[k], (below, d, k)
+            if j < n:
                 for mask in closed:
-                    grown = [_grow(m, mask, j) for m in maps]
-                    for k, downsets, child in zip(ks, maps, grown):
-                        placed = [c[k] + a[k] for c, a in child.values()]
-                        assert _placements(downsets, mask, k) == placed, (below, mask, k)
-                    stack.append((below + [mask], grown))
+                    grown = {k: _grow(downsets, mask, j, width, k) for k in ks}
+                    child = grown[ks[0]][0]
+                    assert all(g[0] == child for g in grown.values()), (below, mask)
+                    following = {k: g[1] for k, g in grown.items()}
+                    stack.append((below + [mask], child, following))
 
     def test_longer_vectors_at_k_3_and_4(self):
-        # k >= 3 reads the counts past index 2.
+        # k >= 3 reads the slots past slot 2.
         result = min_hk_over_posets(8, 3)
         assert (result.minimum, result.posets_visited) == (0, 108)
         result = min_hk_over_posets(7, 4)
@@ -449,25 +484,27 @@ class TestMinHkOverPosets:
         ]
 
     def test_early_cut_matches_the_reference(self):
-        # Skipping a child whose placements are all cut must change neither
-        # the DFS order nor the count of evaluated placements.
+        # The packed maps and the guard against list vectors without the
+        # guard: neither may change the DFS order or the count of evaluated
+        # placements.
         for n, k in [(n, k) for k in (2, 3) for n in range(1, 9)] + [(7, 4)]:
             result = min_hk_over_posets(n, k)
             found = (result.minimum, result.witness_relation, result.posets_visited)
             assert found == _reference_poset_minimum(n, k), (n, k)
 
     def test_down_set_maps_only_for_surviving_children(self, monkeypatch):
-        # Without the early cut, (8,2) builds 5,313 maps.
+        # One map per placement that survives its cut and is not a leaf,
+        # whether or not the guard then enters the child.
         calls = []
         grow = search._grow
 
-        def counted(downsets, mask, j):
+        def counted(downsets, mask, j, width, k):
             calls.append(j)
-            return grow(downsets, mask, j)
+            return grow(downsets, mask, j, width, k)
 
         monkeypatch.setattr(search, "_grow", counted)
         assert min_hk_over_posets(8, 2).posets_visited == 106_613
-        assert len(calls) == 1_157
+        assert len(calls) == 5_312
 
     def test_size_cap(self):
         with pytest.raises(BudgetExceededError):
@@ -479,6 +516,27 @@ class TestMinHkOverPosets:
         assert (result.minimum, result.permutation_minimum) == (36, 36)
         assert result.witness_relation == []
         assert result.posets_visited == 0
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda k: exhaustive_min(5, k),
+        lambda k: min_hk_over_posets(5, k),
+        lambda k: brute_force_count(Permutation((2, 1, 3)), k),
+    ],
+    ids=["exhaustive_min", "min_hk_over_posets", "brute_force_count"],
+)
+def test_no_allocation_grows_with_k(run):
+    # Every count is 0 past k = n, so k = 10**5 needs no more memory than
+    # k = n; a table or index array of k entries would take megabytes.
+    tracemalloc.start()
+    try:
+        run(10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000, peak
 
 
 class TestDensity:
