@@ -53,6 +53,8 @@ EXIT_BUDGET = 3
 EXIT_USAGE = 64
 # Largest t that lemma surplus-bound accepts.
 SURPLUS_T_MAX = 1_000_000
+# Longest permutation that construct builds: n for tau, k^2 + k + 1 for sigma.
+CONSTRUCT_MAX_N = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,9 +182,16 @@ def _cmd_construct(args) -> dict | str:
     if args.family == "tau":
         if args.n is None:
             raise ValidationError("construct tau requires --n")
-        p = build_tau(args.k, args.n)
+        n = args.n
     else:
-        p = build_sigma_extremal(args.k, args.variant)
+        n = args.k * args.k + args.k + 1 if args.k >= 2 else 0  # k < 2 fails in the builder
+    if n > CONSTRUCT_MAX_N:
+        raise BudgetExceededError(
+            f"n = {n} exceeds the construct size cap {CONSTRUCT_MAX_N}",
+            needed=n,
+            budget=CONSTRUCT_MAX_N,
+        )
+    p = build_tau(args.k, n) if args.family == "tau" else build_sigma_extremal(args.k, args.variant)
     return p.to_json_dict() if args.json else p.to_line() + "\n"
 
 

@@ -23,12 +23,23 @@ longest increasing and decreasing subsequences), with no second poset
 built.  The dual order (swap the two roles) exists exactly in this
 dimension-2 case.
 
-Without a witness, chains are counted by a predecessor DP and antichains
-by a bitmask backtracking count.  It counts the last element of each
-antichain by popcount, and the last pair by popcount over each element's
-incomparable lower ids, so neither is enumerated; one node of
+Without a witness, chains are counted by a predecessor DP whose last
+level is a popcount, and antichains by a bitmask backtracking count that
+stops three members short.  The 3-antichains inside a candidate set S come
+from one pass over S, by inclusion-exclusion on the comparability graph
+restricted to S.  With r = |S|, a_v = |above[v] & S|, b_v = |below[v] & S|
+and d_v = a_v + b_v,
+
+    #3-antichains(S) = C(r, 3) - (r - 2) * sum(d_v) / 2
+                       + sum C(d_v, 2) - sum a_v * b_v,
+
+the count of triangles in the complement graph.  The edge term removes
+each triple once per comparable pair in it, the C(d_v, 2) term adds back
+each triple once per pair of comparable pairs sharing an element, and a
+triangle of comparable elements is a 3-chain (by transitivity), counted
+once at its middle element by a_v * b_v.  One node of
 ``ANTICHAIN_NODE_BUDGET`` is still one partial antichain of 1 to m - 1
-elements.
+elements, so the node totals are those of a full backtracking count.
 """
 
 from __future__ import annotations
@@ -42,7 +53,9 @@ from .errors import BudgetExceededError, ValidationError
 from .perms import Permutation
 
 # Largest number of backtracking nodes one antichain count on a witness-free
-# poset may visit.
+# poset may visit.  A node is one partial antichain of 1 to m - 1 elements,
+# whether the backtracking reaches it or the closed-form last three members
+# account for it.
 ANTICHAIN_NODE_BUDGET = 5_000_000
 # Largest poset size a JSON payload may state.  The rows hold n bits in each
 # direction, n**2 / 4 bytes in all: 100 MB at this cap.
@@ -329,7 +342,10 @@ def count_chains_of_size(P: Poset, m: int) -> int:
     """Exact number of m-element chains.
 
     With a witness these are the witness's increasing m-subsequences, counted
-    by the ``monoseq.counting`` kernel; without one, by the predecessor DP.
+    by the ``monoseq.counting`` kernel; without one, by the predecessor DP up
+    to size m - 1 and a popcount for the last member: each m-chain is counted
+    once, at its second-largest member x, as an (m - 1)-chain with maximum x
+    times the elements above x.
     """
     if m < 1:
         raise ValidationError("chain size must be >= 1")
@@ -337,9 +353,11 @@ def count_chains_of_size(P: Poset, m: int) -> int:
         return count_increasing_exact(P.witness, m)
     if m > P.n:
         return 0
-    for current in _chains_by_maximum(P, m):
+    if m == 1:
+        return P.n
+    for current in _chains_by_maximum(P, m - 1):
         pass
-    return sum(current)
+    return sum(f * up.bit_count() for f, up in zip(current, P.above))
 
 
 def count_chains_through(P: Poset, m: int, anchor: int) -> int:
@@ -376,49 +394,96 @@ def count_antichains_of_size(P: Poset, m: int) -> int:
     With a witness these are the witness's decreasing m-subsequences, counted
     by the ``monoseq.counting`` kernel on the witness's values read backwards.
     Without one it is a budgeted backtracking count over independent sets of
-    the comparability graph, since the general problem blows up.  One budget
-    node is one antichain of 1 to m - 1 elements reached on the way; a stack
-    entry adds all its children to the node count at once, so an exceeded
-    budget may report the total at the end of that batch.  Neither the last
-    element nor the last pair is enumerated: the last element is counted by
-    popcount over the candidates left, and the last pair, once i is chosen
-    from them, by popcount over ``lower[i]`` and the candidates below i.
+    the comparability graph, since the general problem blows up.  m = 2 is
+    C(n, 2) minus the comparable pairs, and m >= 3 backtracks down to entries
+    with three members left, whose candidates S give their 3-antichains by
+    the inclusion-exclusion pass of the module docstring.
+
+    One budget node is one antichain of 1 to m - 1 elements reached on the
+    way; an entry adds all its children to the node count at once, so an
+    exceeded budget may report the total at the end of that batch.  The node
+    totals are those of backtracking down to the last member: an entry with
+    c candidates and ``left`` members to go has c - left + 1 children.  A
+    left = 3 entry therefore spends r - 2 nodes plus, for each v in S, the
+    max(0, |lower[v] & S| - 1) nodes of the left = 2 child that chooses v,
+    whose candidates are exactly lower[v] & S since lower[v] holds only ids
+    below v.
     """
     if m < 1:
         raise ValidationError("antichain size must be >= 1")
     if P.witness is not None:
         return count_decreasing_exact(P.witness, m)
+    n = P.n
     if m == 1:
-        return P.n
+        return n
+    if m == 2:
+        _spend_antichain_nodes(n - 1)
+        return n * (n - 1) // 2 - sum(mask.bit_count() for mask in P.below)
     # lower[i]: the ids below i that are incomparable with i.  Sets are built
     # from the highest id down: choosing i leaves the candidates in lower[i].
-    # A node with c candidates and left ids still needed chooses each of its
-    # c - left + 1 highest candidates in turn, since fewer than left
+    # An entry with c candidates and left ids still needed chooses each of
+    # its c - left + 1 highest candidates in turn, since fewer than left
     # candidates cannot finish a set.
-    lower = [((1 << i) - 1) & ~(P.above[i] | P.below[i]) for i in range(P.n)]
+    above, below = P.above, P.below
+    lower = [((1 << i) - 1) & ~(above[i] | below[i]) for i in range(n)]
     nodes = 0
     total = 0
-    stack = [((1 << P.n) - 1, m)]
+    stack = [((1 << n) - 1, m)]
     while stack:
         cand, left = stack.pop()
         c = cand.bit_count() - left + 1
         if c <= 0:
             continue
-        nodes += c
-        if nodes > ANTICHAIN_NODE_BUDGET:
-            raise BudgetExceededError(
-                "antichain enumeration exceeded its node budget",
-                needed=nodes,
-                budget=ANTICHAIN_NODE_BUDGET,
-            )
+        if left == 3:
+            triples, below_nodes = _antichain_triples(cand, above, below, lower)
+            total += triples
+            nodes = _spend_antichain_nodes(nodes + c + below_nodes)
+            continue
+        nodes = _spend_antichain_nodes(nodes + c)
         for _ in range(c):
             i = cand.bit_length() - 1
             cand ^= 1 << i
-            if left == 2:
-                total += (lower[i] & cand).bit_count()
-            else:
-                stack.append((lower[i] & cand, left - 1))
+            stack.append((lower[i] & cand, left - 1))
     return total
+
+
+def _spend_antichain_nodes(nodes: int) -> int:
+    """The running node total, or BudgetExceededError once it passes the budget."""
+    if nodes > ANTICHAIN_NODE_BUDGET:
+        raise BudgetExceededError(
+            "antichain enumeration exceeded its node budget",
+            needed=nodes,
+            budget=ANTICHAIN_NODE_BUDGET,
+        )
+    return nodes
+
+
+def _antichain_triples(S: int, above, below, lower) -> tuple[int, int]:
+    """The 3-antichains inside the id set S, and the nodes below a left = 3 entry.
+
+    One pass over S sums the module docstring's terms; the node term is
+    the sum over v of max(0, |lower[v] & S| - 1).
+    """
+    r = S.bit_count()
+    sum_d = 0
+    pairs_d = 0
+    chains = 0
+    nodes = 0
+    rest = S
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        rest ^= low
+        a = (above[v] & S).bit_count()
+        b = (below[v] & S).bit_count()
+        d = a + b
+        sum_d += d
+        pairs_d += d * (d - 1) // 2
+        chains += a * b
+        lo = (lower[v] & S).bit_count()
+        if lo:
+            nodes += lo - 1
+    return r * (r - 1) * (r - 2) // 6 - (r - 2) * sum_d // 2 + pairs_d - chains, nodes
 
 
 def h_k(P: Poset, k: int) -> int:

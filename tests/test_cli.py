@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from monoseq import cli
 from monoseq.cli import (
     _LEMMAS,
     _POSET_ACTIONS,
@@ -78,6 +79,35 @@ class TestConstruct:
     def test_missing_n_is_validation_error(self):
         code, _ = run_cli(["construct", "tau", "--k", "3"])
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "sigma", "--k", "20000"],
+            ["construct", "tau", "--k", "3", "--n", "100000000"],
+        ],
+        ids=["sigma", "tau"],
+    )
+    def test_past_the_size_cap_exits_3_before_building(self, argv, capsys):
+        # Both sizes would take gigabytes if built; the cap refuses them first.
+        assert run_cli(argv) == (EXIT_BUDGET, "")
+        assert "construct size cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "family, flags, code",
+        [
+            ("tau", ["--k", "3", "--n", "100"], EXIT_OK),
+            ("tau", ["--k", "3", "--n", "101"], EXIT_BUDGET),
+            ("sigma", ["--k", "9"], EXIT_OK),  # n = 91
+            ("sigma", ["--k", "10"], EXIT_BUDGET),  # n = 111
+        ],
+    )
+    def test_size_cap_boundary(self, monkeypatch, family, flags, code):
+        monkeypatch.setattr(cli, "CONSTRUCT_MAX_N", 100)
+        assert run_cli(["construct", family, *flags])[0] == code
+
+    def test_sigma_below_k_2_stays_a_validation_error(self):
+        assert run_cli(["construct", "sigma", "--k", "-20000"])[0] == EXIT_VALIDATION
 
 
 class TestFormula:

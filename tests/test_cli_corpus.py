@@ -44,6 +44,34 @@ _TAU_3_13 = json.dumps(
 )
 # A witness-free order: a 2+2 with one extra cover and an isolated element.
 _DAG = '{"n": 6, "relation": [[1, 3], [2, 4], [1, 4], [4, 5]]}'
+# Two witness-free orders on shuffled ids (cover pairs of random DAGs), large
+# enough that h_k for k = 3..5 reaches antichain entries below the root.
+_DAG_16 = json.dumps(
+    {
+        "n": 16,
+        "relation": [[1, 14], [1, 15], [3, 11], [3, 13], [4, 9], [5, 15], [5, 16], [6, 16],
+                     [7, 1], [7, 6], [8, 4], [8, 10], [10, 9], [11, 10], [12, 5], [13, 10],
+                     [14, 9], [14, 16], [15, 13]],
+    }
+)
+_DAG_22 = json.dumps(
+    {
+        "n": 22,
+        "relation": [[1, 12], [1, 15], [1, 17], [5, 17], [7, 10], [7, 11], [7, 15], [8, 3],
+                     [8, 6], [9, 21], [10, 16], [12, 10], [12, 18], [12, 21], [13, 4], [13, 11],
+                     [13, 20], [14, 6], [15, 22], [17, 2], [17, 8], [17, 10], [19, 2], [19, 9],
+                     [19, 13], [19, 14], [22, 9]],
+    }
+)
+# The two sigma(3, v) orders without their witness, on shuffled ids.
+_SIGMA_3_1_DAG = (
+    '{"n": 13, "relation": [[1, 9], [2, 8], [2, 12], [3, 5], [4, 10], [6, 7], [8, 3], [10, 6],'
+    ' [11, 8], [12, 1], [13, 10], [13, 12]]}'
+)
+_SIGMA_3_2_DAG = (
+    '{"n": 13, "relation": [[2, 8], [4, 9], [5, 6], [6, 10], [8, 3], [9, 7], [10, 1], [11, 4],'
+    ' [11, 8], [12, 4], [12, 6], [13, 2]]}'
+)
 _CHAIN_10 = {
     "n": 10,
     "relation": [[i, i + 1] for i in range(1, 10)],
@@ -112,6 +140,13 @@ CASES = [
     (["search", "posets", "--n", "10", "--k", "2"], "", {}),
     (["repro", "--quick"], "", {}),
     (["no-such-command"], "", {}),
+    *(
+        (["poset", "hk", "--k", str(k)], dag, {})
+        for dag in (_DAG_16, _DAG_22)
+        for k in (2, 3, 4, 5)
+    ),
+    (["poset", "verify-example", "--k", "3"], _SIGMA_3_1_DAG, {}),
+    (["poset", "verify-example", "--k", "3"], _SIGMA_3_2_DAG, {}),
 ]
 
 
@@ -134,7 +169,22 @@ def _recorded():
     return json.loads(CORPUS.read_text())
 
 
-@pytest.mark.parametrize("i", range(len(CASES)), ids=lambda i: " ".join(CASES[i][0]))
+# Inputs named in the test id, so entries that share an argv keep distinct ids.
+_INPUT_NAMES = {
+    _DAG_16: "dag16",
+    _DAG_22: "dag22",
+    _SIGMA_3_1_DAG: "sigma31-dag",
+    _SIGMA_3_2_DAG: "sigma32-dag",
+}
+
+
+def _case_id(i):
+    argv, stdin_text, _ = CASES[i]
+    name = _INPUT_NAMES.get(stdin_text)
+    return " ".join(argv) + (f" < {name}" if name else "")
+
+
+@pytest.mark.parametrize("i", range(len(CASES)), ids=_case_id)
 def test_corpus_entry_is_reproduced(i):
     argv, stdin_text, env = CASES[i]
     entry = _recorded()[i]

@@ -284,6 +284,41 @@ class TestChainCounting:
         assert anchored == m * total
 
 
+def _backtracking_antichains(P, m):
+    """(count, nodes): m-antichains by backtracking down to the last member.
+
+    The witness-free count without its closed-form last three members: each
+    entry (candidates, members left) spends one node per child, choosing its
+    highest candidates in turn, and the last member is a popcount.
+    """
+    if m == 1:
+        return P.n, 0
+    lower = [((1 << i) - 1) & ~(P.above[i] | P.below[i]) for i in range(P.n)]
+    nodes = total = 0
+    stack = [((1 << P.n) - 1, m)]
+    while stack:
+        cand, left = stack.pop()
+        c = cand.bit_count() - left + 1
+        if c <= 0:
+            continue
+        nodes += c
+        for _ in range(c):
+            i = cand.bit_length() - 1
+            cand ^= 1 << i
+            if left == 2:
+                total += (lower[i] & cand).bit_count()
+            else:
+                stack.append((lower[i] & cand, left - 1))
+    return total, nodes
+
+
+def _shuffled_ids(rng, P):
+    """The same order, witness-free, on randomly relabelled ids, so ids are no linear extension."""
+    label = list(range(P.n))
+    rng.shuffle(label)
+    return poset_from_relation(P.n, [(label[i], label[j]) for i, j in P.relation_pairs()])
+
+
 class TestAntichainCounting:
     def test_sigma_variants(self):
         P1 = poset_from_perm(build_sigma_extremal(3, 1))
@@ -337,6 +372,25 @@ class TestAntichainCounting:
         monkeypatch.setattr(posets, "ANTICHAIN_NODE_BUDGET", nodes - 1)
         with pytest.raises(BudgetExceededError):
             count_antichains_of_size(P, m)
+
+    def test_closed_form_matches_backtracking_counts_and_nodes(self, monkeypatch):
+        # Every m = 1..n+1, so entries with three members left occur at the
+        # root (m = 3) and below it (m >= 4, up to m = 15).  Each count takes
+        # the backtracking's exact node total: that budget passes and one
+        # node fewer raises.
+        rng = random.Random(20261020)
+        orders = [poset_from_relation(0, []), chain_poset(9), antichain_poset(9)]
+        orders += [random_dag(rng, rng.randint(1, 14)) for _ in range(40)]
+        for P in orders:
+            P = _shuffled_ids(rng, P)
+            for m in range(1, P.n + 2):
+                count, nodes = _backtracking_antichains(P, m)
+                monkeypatch.setattr(posets, "ANTICHAIN_NODE_BUDGET", nodes)
+                assert count_antichains_of_size(P, m) == count, (P.relation_pairs(), m)
+                if nodes:
+                    monkeypatch.setattr(posets, "ANTICHAIN_NODE_BUDGET", nodes - 1)
+                    with pytest.raises(BudgetExceededError):
+                        count_antichains_of_size(P, m)
 
     def test_witness_free_matches_decreasing_counts_at_scale(self):
         # The antichains of a permutation's poset are its decreasing
