@@ -2,7 +2,6 @@
 constructions, poset antichain decompositions, and desk-scale exhaustive
 verification of the extremal claims."""
 
-from .config import DEFAULT_BUDGETS, Budgets
 from .counting import (
     CountReport,
     LengthProfile,
@@ -70,6 +69,8 @@ from .posets import (
     width,
 )
 from .search import (
+    DEFAULT_BUDGETS,
+    Budgets,
     PosetSearchResult,
     SearchResult,
     TheoremReport,

@@ -19,7 +19,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .config import DEFAULT_BUDGETS, Budgets
 from .counting import brute_force_count, count_monotone, length_profile
 from .cuts import prune
 from .decomposition import decompose, index_sets, verify_example_structure
@@ -34,6 +33,7 @@ from .lemmas import (
     signature_bound_check,
     surplus_conclusion_check,
 )
+from .numeric import log2_lower, log2_upper
 from .perms import (
     build_sigma_extremal,
     build_tau,
@@ -45,7 +45,14 @@ from .perms import (
     permutation_from_json,
 )
 from .posets import h_k, height, poset_from_json, surplus, width
-from .search import exhaustive_min, heuristic_min, min_hk_over_posets, verify_theorem
+from .search import (
+    DEFAULT_BUDGETS,
+    Budgets,
+    exhaustive_min,
+    heuristic_min,
+    min_hk_over_posets,
+    verify_theorem,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -64,7 +71,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _env_int(name: str, default: int) -> int:
+def _flag_or_env(flag: Optional[int], name: str, default: int) -> int:
+    """The flag's value, else the named environment variable's, else the default."""
+    if flag is not None:
+        return flag
     raw = os.environ.get(name)
     if raw is None:
         return default
@@ -75,12 +85,8 @@ def _env_int(name: str, default: int) -> int:
 
 
 def _resolve_runtime(args) -> tuple[int, Budgets]:
-    workers = args.workers if args.workers is not None else _env_int("MONOSEQ_WORKERS", 1)
-    budget = (
-        args.budget
-        if args.budget is not None
-        else _env_int("MONOSEQ_BUDGET", DEFAULT_BUDGETS.search_state_budget)
-    )
+    workers = _flag_or_env(args.workers, "MONOSEQ_WORKERS", 1)
+    budget = _flag_or_env(args.budget, "MONOSEQ_BUDGET", DEFAULT_BUDGETS.search_state_budget)
     return workers, DEFAULT_BUDGETS.with_overrides(search_state_budget=budget)
 
 
@@ -96,7 +102,7 @@ def _config(args) -> dict:
     }
     return {
         "subcommand": args.subcommand,
-        "flags": {k: (list(v) if isinstance(v, tuple) else v) for k, v in flags.items()},
+        "flags": flags,
         "output_format": getattr(args, "format", "json"),
         "seed": getattr(args, "seed", 0) or 0,
         "workers": workers,
@@ -195,19 +201,37 @@ def _cmd_construct(args) -> dict | str:
     return p.to_json_dict() if args.json else p.to_line() + "\n"
 
 
+def _refuse_unprintable(x: int, m: int, shift: int) -> None:
+    """Raise now the ValueError that printing an integer of at least
+    C(x, m) / 2**shift would raise once built, from C(x, m) >= (x/m')**m'
+    with m' = min(m, x - m)."""
+    limit, m = sys.get_int_max_str_digits(), min(m, x - m)
+    if limit and m > 0 and m * (log2_lower(x) - log2_upper(m)) - shift > limit * log2_upper(10):
+        raise ValueError(f"Exceeds the limit ({limit} digits) for integer string conversion")
+
+
 def _cmd_formula(args) -> dict:
-    split = param_split(args.k, args.n)
+    """Each integer is bounded from below before it is computed, so one too
+    long to print fails at once: m_tau >= C(n//k, k+1) and mu's reduced
+    denominator is at least C(n, k+1) / m_tau."""
+    k, n = args.k, args.n
+    split = param_split(k, n)
+    _refuse_unprintable(n // k, k + 1, 0)
+    m_tau = m_tau_formula(k, n)
     payload = {
-        "m_tau": m_tau_formula(args.k, args.n),
+        "m_tau": m_tau,
         "ell": split.ell,
         "q": split.q,
         "r": split.r,
         "subcritical": split.subcritical,
     }
     if not split.subcritical:
-        payload["delta"] = delta_formula(args.k, args.n)
-    if args.n >= args.k + 1:
-        frac = mu(args.k, args.n, payload["m_tau"])
+        _refuse_unprintable(k + split.ell, k, 0)
+        payload["delta"] = delta_formula(k, n)
+    if n >= k + 1:
+        if m_tau:
+            _refuse_unprintable(n, k + 1, m_tau.bit_length())
+        frac = mu(k, n, m_tau)
         payload["mu"] = {"numerator": frac.numerator, "denominator": frac.denominator}
     return payload
 

@@ -28,7 +28,8 @@ from math import comb
 from .errors import BudgetExceededError, ValidationError
 from .perms import Permutation
 
-# Largest number of subsets a brute-force subsequence count may visit.
+# Largest number of subsets that brute_force_count may visit, and that
+# lemmas.lower_shadow may build.
 SUBSET_BUDGET = 2_000_000
 
 # Bits of one packed tree entry; _chain_totals' docstring gives why 1024.

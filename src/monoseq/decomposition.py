@@ -104,17 +104,7 @@ def _decompose(P: Poset) -> Decomposition:
     if h:
         c.append([])
 
-    return Decomposition(
-        levels=levels,
-        hasse=hasse,
-        u=u,
-        sigma=sigma,
-        a_prime=a_prime,
-        a_double_prime=a_double_prime,
-        b=b,
-        c=c,
-        d=d,
-    )
+    return Decomposition(levels, hasse, u, sigma, a_prime, a_double_prime, b, c, d)
 
 
 @dataclass(frozen=True)
@@ -164,14 +154,7 @@ def index_sets(P: Poset, k: int) -> IndexSets:
         split = param_split(k, P.n)
         s_threshold = (1 + Fraction(split.q, split.ell)) * k + 50 * sqrt_upper(k) * log2_upper(k)
 
-    return IndexSets(
-        k=k,
-        f=f,
-        f_prime=f_prime,
-        f_double_prime=f_double_prime,
-        s=s_threshold,
-        surplus=surplus(P, k),
-    )
+    return IndexSets(k, f, f_prime, f_double_prime, s_threshold, surplus(P, k))
 
 
 @dataclass(frozen=True)
@@ -245,10 +228,7 @@ class ExampleStructureReport:
 
     @property
     def first_failure(self) -> Optional[str]:
-        for cl in self.clauses:
-            if not cl.ok:
-                return cl.name
-        return None
+        return next((cl.name for cl in self.clauses if not cl.ok), None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -391,10 +371,5 @@ def _case_two_order_clause(
     # That chain goes on through the one up-neighbor that has a tail.
     second = next(y for x, y in dec.hasse[1] if x == z and dec.u[y] >= 1)
     ok = any(P.less(a, second) for a in path_nodes if a in a1)
-    return ClauseResult(
-        "path-chain-order",
-        ok,
-        "a path element of A_1 lies below the chain's second element"
-        if ok
-        else "no path element of A_1 lies below the chain's second element",
-    )
+    detail = f"{'a' if ok else 'no'} path element of A_1 lies below the chain's second element"
+    return ClauseResult("path-chain-order", ok, detail)

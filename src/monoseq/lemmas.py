@@ -15,8 +15,9 @@ from itertools import combinations
 from math import comb
 from typing import Hashable, Optional
 
+from .counting import SUBSET_BUDGET
 from .decomposition import decompose
-from .errors import InvariantError, ValidationError
+from .errors import BudgetExceededError, InvariantError, ValidationError
 from .numeric import (
     ceil_pow2_of_sqrt_minus_one,
     exp_neg_upper,
@@ -64,13 +65,21 @@ def lower_shadow(family: SetFamily, b: int) -> SetFamily:
 
     The bound is the halving consequence of the shadow-size theorem; the
     shadow itself is computed by plain subset expansion since only the
-    stated minimum is needed.
+    stated minimum is needed.  The expansion builds |F| * C(a, b) subsets,
+    so a family past counting.SUBSET_BUDGET of them is refused up front.
     """
     a = family.member_size
     if family.members and not 0 < b <= a:
         raise ValidationError(f"b must satisfy 0 < b <= {a}")
     if not family.members and b < 1:
         raise ValidationError("b must be positive")
+    work = len(family.members) * comb(a, b)
+    if work > SUBSET_BUDGET:
+        raise BudgetExceededError(
+            f"{len(family.members)} * C({a},{b}) = {work} subsets exceed the enumeration budget",
+            needed=work,
+            budget=SUBSET_BUDGET,
+        )
     shadow = frozenset(
         frozenset(sub) for m in family.members for sub in combinations(sorted(m), b)
     )

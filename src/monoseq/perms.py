@@ -235,7 +235,7 @@ def canonical_form(values: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def mu(k: int, n: int, m: int) -> Fraction:
-    """Normalized density m / C(n, k+1) as an exact rational."""
+    """Normalized density m / C(n, k+1) as an exact rational; m = 0 builds no binomial."""
     if n < k + 1:
         raise ValidationError("mu requires n >= k+1")
-    return Fraction(m, comb(n, k + 1))
+    return Fraction(m, comb(n, k + 1)) if m else Fraction(0)

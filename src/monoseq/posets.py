@@ -58,7 +58,9 @@ from .perms import Permutation
 # account for it.
 ANTICHAIN_NODE_BUDGET = 5_000_000
 # Largest poset size a JSON payload may state.  The rows hold n bits in each
-# direction, n**2 / 4 bytes in all: 100 MB at this cap.
+# direction, n**2 / 4 bytes in all: 100 MB at this cap.  That covers the rows
+# only; the witness-free chain count and width build lists with one entry per
+# comparable pair, which the cap does not bound to 100 MB.
 POSET_MAX_N = 20_000
 
 

@@ -30,12 +30,11 @@ its down-set counts, packed one slot per subset size into two integers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from math import comb
 from typing import Optional
 
-from .config import DEFAULT_BUDGETS, Budgets
 from .counting import brute_force_count, count_monotone, swap_price
 from .errors import BudgetExceededError, InvariantError, ValidationError
 from .perms import Permutation, build_tau, canonical_form, m_tau_formula
@@ -45,6 +44,33 @@ from .posets import poset_from_relation
 EXHAUSTIVE_MAX_N = 11
 # Minimizing witnesses kept per exhaustive run.
 WITNESS_CAP = 10_000
+
+
+@dataclass(frozen=True)
+class Budgets:
+    """The caps a caller may set on a search run.
+
+    Only the searches read them, so they live here; the CLI builds one from
+    ``--budget`` or ``MONOSEQ_BUDGET`` and echoes it, so a run stays
+    reproducible.  Every fixed cap lives beside the one check that reads it.
+    """
+
+    # Node cap for one exhaustive search run.  Each of its prefix tasks may
+    # visit an equal share, budget // tasks, so the run as a whole stays
+    # within the cap and the outcome does not depend on the workers.
+    search_state_budget: int = 1_000_000_000
+    # Largest n accepted by the exhaustive poset search.
+    poset_enum_max_n: int = 9
+
+    def __post_init__(self) -> None:
+        if self.search_state_budget < 0:
+            raise ValidationError(f"search budget must be >= 0, got {self.search_state_budget}")
+
+    def with_overrides(self, **kwargs) -> "Budgets":
+        return replace(self, **kwargs)
+
+
+DEFAULT_BUDGETS = Budgets()
 
 
 @dataclass(frozen=True)
@@ -83,6 +109,10 @@ def _search_task(args) -> tuple[int, list[tuple[int, ...]], int, bool]:
     layer k per node.  Only a candidate priced within the incumbent is
     pushed, and a push fills layers 1..k at v, the layers a later position
     reads.  Every priced candidate is one visited node, pushed or not.
+
+    Needs k >= 2, which exhaustive_min guarantees by answering k = 1 in
+    closed form: the prefix then has at most two values, closes no
+    (k+1)-set and is pushed unpriced, so the DFS starts at count 0.
     """
     n, k, prefix, bound, node_budget, witness_cap = args
     # Layers above n stay 0, so every price is 0 once k >= n: k = n visits
@@ -156,32 +186,25 @@ def _search_task(args) -> tuple[int, list[tuple[int, ...]], int, bool]:
                 dfs(new_count)
                 pop(v)
 
-    count = 0
     # _prefixes already applies the position-1 and position-2 rules.
     for v in prefix:
-        count += sum(inc_k[:v]) + sum(dec_k[v + 1 :])
         push(v)
-    if count <= best:
-        dfs(count)
+    dfs(0)
     return best, sorted(witnesses), nodes, truncated
 
 
 def _prefixes(n: int) -> list[tuple[int, ...]]:
-    half = (n + 1) // 2
     if n == 1:
         return [(1,)]
-    out = []
-    for v1 in range(1, half + 1):
-        for v2 in range(1, n + 1):
-            if v2 == v1:
-                continue
-            if 2 * v1 == n + 1 and 2 * v2 > n:
-                continue
-            # Values 1 and n lie in the window [v1, n+1-v1] of the DFS.
-            if v2 in (1, n) and v1 > 2:
-                continue
-            out.append((v1, v2))
-    return out
+    return [
+        (v1, v2)
+        for v1 in range(1, (n + 1) // 2 + 1)
+        for v2 in range(1, n + 1)
+        if v2 != v1
+        and not (2 * v1 == n + 1 and 2 * v2 > n)
+        # Values 1 and n lie in the window [v1, n+1-v1] of the DFS.
+        and not (v2 in (1, n) and v1 > 2)
+    ]
 
 
 def exhaustive_min(

@@ -27,7 +27,14 @@ from monoseq.cli import (
     build_parser,
     dispatch,
 )
-from monoseq.perms import build_sigma_extremal, build_tau, m_tau_formula, parse_permutation
+from monoseq.perms import (
+    build_sigma_extremal,
+    build_tau,
+    delta_formula,
+    m_tau_formula,
+    mu,
+    parse_permutation,
+)
 from monoseq.posets import poset_from_perm
 
 # An integer literal of 5,001 digits, past the interpreter's default limit of
@@ -129,6 +136,43 @@ class TestFormula:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "PYTHONINTMAXSTRDIGITS=0" in err
         assert run_cli(["formula", "--k", "1200", "--n", "1441200"])[0] == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "k, n", [(200_000, 40_000_000_001), (100_000, 10**12), (500_000, 250_000_000_001)]
+    )
+    def test_unprintable_result_exits_3_before_it_is_computed(self, capsys, k, n):
+        start = time.perf_counter()
+        assert run_cli(["formula", "--k", str(k), "--n", str(n)]) == (EXIT_BUDGET, "")
+        assert time.perf_counter() - start < 2
+        err = capsys.readouterr().err
+        assert err == (
+            "result too large: an integer has over 4300 digits; set PYTHONINTMAXSTRDIGITS=0\n"
+        )
+
+    def test_early_exit_only_where_printing_fails(self):
+        # At the least digit limit, each (k, n) exits 3 exactly when one of
+        # its integers has more digits than the limit allows.  At (30, 3e22),
+        # C(n, 31) has more digits than that but m_tau and mu do not.
+        old, limit = sys.get_int_max_str_digits(), 640
+        cases = [(k, k * k + d) for k in (60, 150, 300) for d in (-1, 0, 1, k + 1, 5 * k * k)]
+        cases.append((30, 3 * 10**22))
+        codes = []
+        try:
+            for k, n in cases:
+                sys.set_int_max_str_digits(0)
+                big = [m_tau_formula(k, n)]
+                if n > k * k:
+                    big.append(delta_formula(k, n))
+                if n > k:
+                    frac = mu(k, n, big[0])
+                    big += [frac.numerator, frac.denominator]
+                fails = any(len(str(x)) > limit for x in big)
+                sys.set_int_max_str_digits(limit)
+                codes.append(run_cli(["formula", "--k", str(k), "--n", str(n)])[0])
+                assert codes[-1] == (EXIT_BUDGET if fails else EXIT_OK), (k, n)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert {EXIT_OK, EXIT_BUDGET} <= set(codes)
 
 
 class TestCount:

@@ -72,6 +72,8 @@ _SIGMA_3_2_DAG = (
     '{"n": 13, "relation": [[2, 8], [4, 9], [5, 6], [6, 10], [8, 3], [9, 7], [10, 1], [11, 4],'
     ' [11, 8], [12, 4], [12, 6], [13, 2]]}'
 )
+# One 24-set with b = 12: C(24, 12) = 2,704,156 subsets, over counting.SUBSET_BUDGET.
+_SHADOW_24 = json.dumps({"ground_size": 24, "members": [list(range(24))], "b": 12})
 _CHAIN_10 = {
     "n": 10,
     "relation": [[i, i + 1] for i in range(1, 10)],
@@ -147,6 +149,10 @@ CASES = [
     ),
     (["poset", "verify-example", "--k", "3"], _SIGMA_3_1_DAG, {}),
     (["poset", "verify-example", "--k", "3"], _SIGMA_3_2_DAG, {}),
+    (["count", "--k", "0"], "2 1 3", {}),
+    (["formula", "--k", "0", "--n", "5"], "", {}),
+    (["formula", "--k", "200000", "--n", "40000000001"], "", {}),
+    (["lemma", "shadow"], _SHADOW_24, {}),
 ]
 
 
@@ -175,6 +181,7 @@ _INPUT_NAMES = {
     _DAG_22: "dag22",
     _SIGMA_3_1_DAG: "sigma31-dag",
     _SIGMA_3_2_DAG: "sigma32-dag",
+    _SHADOW_24: "shadow24",
 }
 
 

@@ -59,6 +59,11 @@ class TestCountMonotone:
         report = count_monotone(Permutation((3, 4, 5, 1, 2)), 2)
         assert (report.increasing, report.decreasing) == (1, 0)
 
+    @pytest.mark.parametrize("count", [count_monotone, brute_force_count])
+    def test_rejects_k_below_one(self, count):
+        with pytest.raises(ValidationError, match="k must be >= 1"):
+            count(identity(3), 0)
+
 
 class TestBruteForce:
     @pytest.mark.parametrize(

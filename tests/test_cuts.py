@@ -57,6 +57,10 @@ def brute_min_hitting_set(P):
 
 
 class TestMinHeightReducingSet:
+    def test_rejects_the_empty_poset(self):
+        with pytest.raises(ValidationError, match="empty poset"):
+            min_height_reducing_set(poset_from_relation(0, []))
+
     def test_chain_needs_one_element(self):
         assert min_height_reducing_set(chain_poset(5)) == [0]
 

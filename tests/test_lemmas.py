@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoseq import numeric
-from monoseq.errors import ValidationError
+from monoseq import lemmas, numeric
+from monoseq.errors import BudgetExceededError, ValidationError
 from monoseq.lemmas import (
     FunctionTable,
     LabeledTree,
@@ -45,6 +45,20 @@ def star_tree(t):
 
 
 class TestNumericBounds:
+    @pytest.mark.parametrize(
+        "bound, x",
+        [
+            (sqrt_upper, -1),
+            (log2_lower, 0),
+            (log2_upper, 0),
+            (exp_lower, Fraction(-1)),
+            (ceil_pow2_of_sqrt_minus_one, 0),
+        ],
+    )
+    def test_rejects_arguments_out_of_the_domain(self, bound, x):
+        with pytest.raises(ValidationError):
+            bound(x)
+
     @pytest.mark.parametrize("x", [0, 1, 2, 3, 10, 97, 1024])
     def test_sqrt_brackets(self, x):
         # An upper bound on sqrt(x), and within 2^-40 of it.
@@ -134,6 +148,16 @@ class TestLowerShadow:
     def test_rejects_mixed_cardinalities(self):
         with pytest.raises(ValidationError):
             SetFamily.from_lists(4, [[0, 1], [2]])
+
+    def test_subset_budget_caps_the_expansion(self, monkeypatch):
+        # Two 4-sets at b = 2 build 2 * C(4, 2) = 12 subsets.
+        family = SetFamily.from_lists(8, [[0, 1, 2, 3], [4, 5, 6, 7]])
+        monkeypatch.setattr(lemmas, "SUBSET_BUDGET", 12)
+        assert len(lower_shadow(family, 2).members) == 12
+        monkeypatch.setattr(lemmas, "SUBSET_BUDGET", 11)
+        with pytest.raises(BudgetExceededError) as info:
+            lower_shadow(family, 2)
+        assert (info.value.needed, info.value.budget) == (12, 11)
 
     def test_exhaustive_small_grounds(self):
         # Every family over small parameter combinations; the halving bound

@@ -142,6 +142,11 @@ class TestMTauFormula:
 
 
 class TestParamSplit:
+    @pytest.mark.parametrize("split", [param_split, delta_formula])
+    def test_rejects_k_below_one(self, split):
+        with pytest.raises(ValidationError, match="requires k >= 1"):
+            split(0, 5)
+
     def test_example_values(self):
         s = param_split(3, 13)
         assert (s.ell, s.q, s.r, s.subcritical) == (1, 1, 1, False)

@@ -17,6 +17,7 @@ from monoseq.posets import (
     count_antichains_of_size,
     count_chains_of_size,
     count_chains_through,
+    disjoint_chains_poset,
     dual,
     h_k,
     height,
@@ -256,6 +257,29 @@ class TestHeightWidth:
 
 
 class TestChainCounting:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda P: count_chains_of_size(P, 0), "chain size must be >= 1"),
+            (lambda P: count_chains_through(P, 0, 0), "chain size must be >= 1"),
+            (lambda P: count_chains_through(P, 2, 3), "anchor out of range"),
+            (lambda P: count_chains_through(P, 2, -1), "anchor out of range"),
+            (lambda P: count_antichains_of_size(P, 0), "antichain size must be >= 1"),
+            (lambda P: disjoint_chains_poset([]), "chain lengths must be positive"),
+        ],
+        ids=[
+            "chains-size-0",
+            "chains-through-size-0",
+            "chains-through-anchor-n",
+            "chains-through-anchor-negative",
+            "antichains-size-0",
+            "disjoint-chains-none",
+        ],
+    )
+    def test_rejects_bad_arguments(self, call, message):
+        with pytest.raises(ValidationError, match=message):
+            call(chain_poset(3))
+
     def test_tau_chain_count(self):
         assert count_chains_of_size(poset_from_perm(build_tau(3, 13)), 4) == 7
 

@@ -5,7 +5,6 @@ from math import comb
 
 import pytest
 
-from monoseq.config import DEFAULT_BUDGETS
 from monoseq.counting import brute_force_count, count_monotone
 from monoseq.errors import BudgetExceededError, InvariantError, ValidationError
 from monoseq.perms import (
@@ -21,7 +20,8 @@ from monoseq.posets import (
     iter_bits,
     poset_from_relation,
 )
-from monoseq import search
+import monoseq
+from monoseq import DEFAULT_BUDGETS, search
 from monoseq.search import (
     _grow,
     exhaustive_min,
@@ -158,6 +158,10 @@ class TestExhaustiveMin:
         short = DEFAULT_BUDGETS.with_overrides(search_state_budget=31_871)
         with pytest.raises(BudgetExceededError):
             exhaustive_min(8, 2, short, workers)
+
+    def test_budgets_live_in_search(self):
+        assert monoseq.Budgets is search.Budgets
+        assert monoseq.DEFAULT_BUDGETS is search.DEFAULT_BUDGETS == search.Budgets()
 
     def test_negative_budget_is_rejected(self):
         with pytest.raises(ValidationError):
@@ -509,6 +513,11 @@ class TestMinHkOverPosets:
     def test_size_cap(self):
         with pytest.raises(BudgetExceededError):
             min_hk_over_posets(10, 2)
+
+    @pytest.mark.parametrize("n, k", [(0, 2), (3, 0)])
+    def test_rejects_sizes_below_one(self, n, k):
+        with pytest.raises(ValidationError, match="must be positive"):
+            min_hk_over_posets(n, k)
 
     def test_k1_in_closed_form(self):
         # Every order has h_1 = C(n,2); the antichain is reported without enumerating.
