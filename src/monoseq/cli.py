@@ -60,7 +60,7 @@ EXIT_BUDGET = 3
 EXIT_USAGE = 64
 # Largest t that lemma surplus-bound accepts.
 SURPLUS_T_MAX = 1_000_000
-# Longest permutation that construct builds: n for tau, k^2 + k + 1 for sigma.
+# Longest permutation that construct builds or search heuristic starts from.
 CONSTRUCT_MAX_N = 1_000_000
 
 
@@ -86,6 +86,8 @@ def _flag_or_env(flag: Optional[int], name: str, default: int) -> int:
 
 def _resolve_runtime(args) -> tuple[int, Budgets]:
     workers = _flag_or_env(args.workers, "MONOSEQ_WORKERS", 1)
+    if workers < 1:
+        raise ValidationError("workers must be >= 1")
     budget = _flag_or_env(args.budget, "MONOSEQ_BUDGET", DEFAULT_BUDGETS.search_state_budget)
     return workers, DEFAULT_BUDGETS.with_overrides(search_state_budget=budget)
 
@@ -184,6 +186,13 @@ def _cmd_count(args) -> dict:
     return payload
 
 
+def _refuse_past_construct_cap(n: int) -> None:
+    """Refuse a permutation longer than CONSTRUCT_MAX_N before building it."""
+    if n > CONSTRUCT_MAX_N:
+        message = f"n = {n} exceeds the construct size cap {CONSTRUCT_MAX_N}"
+        raise BudgetExceededError(message, needed=n, budget=CONSTRUCT_MAX_N)
+
+
 def _cmd_construct(args) -> dict | str:
     if args.family == "tau":
         if args.n is None:
@@ -191,12 +200,7 @@ def _cmd_construct(args) -> dict | str:
         n = args.n
     else:
         n = args.k * args.k + args.k + 1 if args.k >= 2 else 0  # k < 2 fails in the builder
-    if n > CONSTRUCT_MAX_N:
-        raise BudgetExceededError(
-            f"n = {n} exceeds the construct size cap {CONSTRUCT_MAX_N}",
-            needed=n,
-            budget=CONSTRUCT_MAX_N,
-        )
+    _refuse_past_construct_cap(n)
     p = build_tau(args.k, n) if args.family == "tau" else build_sigma_extremal(args.k, args.variant)
     return p.to_json_dict() if args.json else p.to_line() + "\n"
 
@@ -356,6 +360,7 @@ def _cmd_search(args) -> dict | str:
         raise ValidationError("--format csv applies to search exhaustive only")
     workers, budgets = args.runtime
     if args.mode == "heuristic":
+        _refuse_past_construct_cap(args.n)
         return heuristic_min(args.n, args.k, trials=args.trials, seed=args.seed).to_json_dict()
     if args.mode == "posets":
         return min_hk_over_posets(args.n, args.k, budgets).to_json_dict()

@@ -197,11 +197,8 @@ def disjoint_chain_cover(P: Poset, i: int, j: int) -> ChainCoverResult:
     chains = [[y] for y in dec.a_prime[j - 1]]
     for m in range(j - 1, i - 1, -1):
         heads = {ch[0]: ch for ch in chains}
-        adjacency: dict[int, list[int]] = {x: [] for x in dec.a_prime[m - 1]}
-        for x, y in dec.hasse[m - 1]:
-            if x in adjacency and y in heads:
-                adjacency[x].append(y)
-        matching = max_bipartite_matching_pairs(adjacency)
+        mask = sum(1 << y for y in heads)
+        matching = max_bipartite_matching_pairs({x: P.above[x] & mask for x in dec.a_prime[m - 1]})
         chains = [[x] + heads[y] for x, y in sorted(matching.items())]
 
     d = k - len(chains)
@@ -287,7 +284,7 @@ def verify_example_structure(P: Poset, k: int) -> ExampleStructureReport:
     a2 = dec.levels[1]
     clauses.append(ClauseResult("second-level-size", len(a2) == k, f"|A_2| = {len(a2)}"))
 
-    case, shape_detail, path_nodes, edge_nodes = _bottom_two_level_shape(dec, k)
+    case, shape_detail, path_nodes, edge_nodes = _bottom_two_level_shape(P, dec, k)
     clauses.append(ClauseResult("comparability-shape", case is not None, shape_detail))
 
     if case == "ii":
@@ -309,35 +306,28 @@ def verify_example_structure(P: Poset, k: int) -> ExampleStructureReport:
     return ExampleStructureReport(case=case, clauses=clauses)
 
 
-def _bottom_two_level_shape(dec: Decomposition, k: int):
+def _bottom_two_level_shape(P: Poset, dec: Decomposition, k: int):
     """Classify the comparability graph on the bottom two levels.
 
-    A_1 holds the minimal elements, so the comparable pairs between A_1 and
-    A_2 are exactly the pairs of dec.hasse[0].
+    Both levels are antichains, so a member's neighbours in the graph are
+    its row bits inside A_1 and A_2.
     """
-    adj: dict[int, list[int]] = {x: [] for x in dec.levels[0] + dec.levels[1]}
-    for x, y in dec.hasse[0]:
-        adj[x].append(y)
-        adj[y].append(x)
-
-    seen: set[int] = set()
+    left = sum(1 << x for x in dec.levels[0] + dec.levels[1])  # not yet in a component
+    adj = {x: (P.above[x] | P.below[x]) & left for x in iter_bits(left)}
     components: list[list[int]] = []
-    for start in adj:
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
+    while left:
+        comp = [(left & -left).bit_length() - 1]
+        left &= left - 1
         for x in comp:  # comp grows as the search reaches new vertices
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
+            for y in iter_bits(adj[x] & left):
+                left ^= 1 << y
+                comp.append(y)
         components.append(comp)
 
     def is_path(comp: list[int]) -> bool:
         # A connected graph with one edge fewer than vertices is a tree,
         # and a tree with no degree above 2 is a path.
-        degs = [len(adj[x]) for x in comp]
+        degs = [adj[x].bit_count() for x in comp]
         return sum(degs) == 2 * (len(comp) - 1) and max(degs) <= 2
 
     sizes = sorted(len(cmp) for cmp in components)

@@ -5,11 +5,8 @@ order is stored as dense bitmask rows in both directions, so comparability
 queries are O(1) and the decomposition loops stay cheap at desk scale.  The
 rows come from two constructors, ``poset_from_perm`` (one sweep over a
 permutation's values) and ``poset_from_relation`` (a relation closed in
-Kahn's topological order, where an element closes once all its direct
-successors have: ``above`` rows over the direct successors, then ``below``
-rows over the direct predecessors in the reverse order; an element that
-never closes lies on or below a cycle), or from ``reverse_order``'s swap of
-the two row tuples.  Only ``poset_from_perm`` attaches a witness, and
+Kahn's topological order), or from ``reverse_order``'s swap of the two row
+tuples.  Only ``poset_from_perm`` attaches a witness, and
 ``poset_from_json`` is the one place a witness is checked against a
 relation.
 
@@ -23,12 +20,13 @@ longest increasing and decreasing subsequences), with no second poset
 built.  The dual order (swap the two roles) exists exactly in this
 dimension-2 case.
 
-Without a witness, chains are counted by a predecessor DP whose last
-level is a popcount, and antichains by a bitmask backtracking count that
-stops three members short.  The 3-antichains inside a candidate set S come
-from one pass over S, by inclusion-exclusion on the comparability graph
-restricted to S.  With r = |S|, a_v = |above[v] & S|, b_v = |below[v] & S|
-and d_v = a_v + b_v,
+Without a witness, width is n minus a matching over the ``above`` rows,
+chains are counted by one sweep over the rows in a linear extension with
+a popcount for the last member, and antichains by a bitmask backtracking
+count that stops three members short.  The 3-antichains inside a
+candidate set S come from one pass over S, by inclusion-exclusion on the
+comparability graph restricted to S.  With r = |S|, a_v = |above[v] & S|,
+b_v = |below[v] & S| and d_v = a_v + b_v,
 
     #3-antichains(S) = C(r, 3) - (r - 2) * sum(d_v) / 2
                        + sum C(d_v, 2) - sum a_v * b_v,
@@ -37,15 +35,15 @@ the count of triangles in the complement graph.  The edge term removes
 each triple once per comparable pair in it, the C(d_v, 2) term adds back
 each triple once per pair of comparable pairs sharing an element, and a
 triangle of comparable elements is a 3-chain (by transitivity), counted
-once at its middle element by a_v * b_v.  One node of
-``ANTICHAIN_NODE_BUDGET`` is still one partial antichain of 1 to m - 1
-elements, so the node totals are those of a full backtracking count.
+once at its middle element by a_v * b_v.  ``count_antichains_of_size``
+keeps the node totals of a full backtracking count.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .counting import count_decreasing_exact, count_increasing_exact, count_monotone
@@ -58,9 +56,8 @@ from .perms import Permutation
 # account for it.
 ANTICHAIN_NODE_BUDGET = 5_000_000
 # Largest poset size a JSON payload may state.  The rows hold n bits in each
-# direction, n**2 / 4 bytes in all: 100 MB at this cap.  That covers the rows
-# only; the witness-free chain count and width build lists with one entry per
-# comparable pair, which the cap does not bound to 100 MB.
+# direction, n**2 / 4 bytes in all: 100 MB at this cap.  The witness-free
+# width and chain counts read those rows and add O(n) words of their own.
 POSET_MAX_N = 20_000
 
 
@@ -245,23 +242,30 @@ def level_of_each(P: Poset) -> list[int]:
 
     With a witness this is the longest increasing subsequence of the witness
     ending at position i; without one, a sweep over each element's
-    predecessors.  Computed once per poset and cached; callers must not
-    mutate the list.
+    predecessors in a linear extension.  Computed once per poset and cached;
+    callers must not mutate the list.
     """
     key = "levels"
     if key not in P._cache:
         if P.witness is not None:
             P._cache[key] = _patience_levels(P.witness.values)
         else:
-            order = sorted(range(P.n), key=lambda i: P.below[i].bit_count())
             level = [1] * P.n
-            for i in order:
+            for i in _linear_extension(P):
                 best = 0
                 for j in iter_bits(P.below[i]):
                     if level[j] > best:
                         best = level[j]
                 level[i] = best + 1
             P._cache[key] = level
+    return P._cache[key]
+
+
+def _linear_extension(P: Poset) -> list[int]:
+    """The elements by ascending ``below`` popcount, each after all below it; cached."""
+    key = "extension"
+    if key not in P._cache:
+        P._cache[key] = sorted(range(P.n), key=lambda i: P.below[i].bit_count())
     return P._cache[key]
 
 
@@ -301,42 +305,37 @@ def width(P: Poset) -> int:
         if P.witness is not None:
             P._cache[key] = max(_patience_levels(P.witness.values[::-1]), default=0)
         else:
-            adjacency = {i: list(iter_bits(P.above[i])) for i in range(P.n)}
-            P._cache[key] = P.n - len(max_bipartite_matching_pairs(adjacency))
+            P._cache[key] = P.n - len(max_bipartite_matching_pairs(dict(enumerate(P.above))))
     return P._cache[key]
 
 
-def max_bipartite_matching_pairs(adjacency: dict[int, list[int]]) -> dict[int, int]:
+def max_bipartite_matching_pairs(rows: dict[int, int]) -> dict[int, int]:
     """Maximum matching as a left -> right map (deterministic).
 
-    One augmenting-path search per left vertex, in ascending order: a
-    depth-first search over alternating paths on an explicit stack, which
-    tries each right vertex at most once.
+    ``rows[u]`` is the bitmask of left vertex u's right neighbours.  One
+    augmenting-path search per left vertex, in ascending order, by a
+    depth-first search on an explicit stack whose every step tries the least
+    right vertex in ``rows[u] & ~seen``.  A free one ends the path, and each
+    left vertex on it takes the partner of the next one.
     """
     match_l: dict[int, int] = {}
     match_r: dict[int, int] = {}
-    for root in sorted(adjacency):
-        stack = [(root, iter(adjacency[root]))]  # left vertices of the path, untried neighbours
-        rights: list[int] = []  # rights[t] is adjacent to stack[t], matched to stack[t + 1]
-        seen: set[int] = set()
+    for root in sorted(rows):
+        stack = [root]  # left vertices of the path; each after the root is matched
+        seen = 0
         while stack:
-            for v in stack[-1][1]:
-                if v not in seen:
-                    break
-            else:
+            untried = rows[stack[-1]] & ~seen
+            if not untried:
                 stack.pop()
-                if rights:
-                    rights.pop()
                 continue
-            seen.add(v)
-            rights.append(v)
-            w = match_r.get(v)
-            if w is None:
-                for (u, _), x in zip(stack, rights):
-                    match_l[u] = x
-                    match_r[x] = u
+            v = (untried & -untried).bit_length() - 1
+            seen |= 1 << v
+            if v not in match_r:
+                for u in reversed(stack):
+                    match_l[u], v = v, match_l.get(u)
+                    match_r[match_l[u]] = u
                 break
-            stack.append((w, iter(adjacency[w])))
+            stack.append(match_r[v])
     return match_l
 
 
@@ -344,8 +343,8 @@ def count_chains_of_size(P: Poset, m: int) -> int:
     """Exact number of m-element chains.
 
     With a witness these are the witness's increasing m-subsequences, counted
-    by the ``monoseq.counting`` kernel; without one, by the predecessor DP up
-    to size m - 1 and a popcount for the last member: each m-chain is counted
+    by the ``monoseq.counting`` kernel; without one, by the chain sweep up to
+    size m - 1 and a popcount for the last member: each m-chain is counted
     once, at its second-largest member x, as an (m - 1)-chain with maximum x
     times the elements above x.
     """
@@ -357,9 +356,8 @@ def count_chains_of_size(P: Poset, m: int) -> int:
         return 0
     if m == 1:
         return P.n
-    for current in _chains_by_maximum(P, m - 1):
-        pass
-    return sum(f * up.bit_count() for f, up in zip(current, P.above))
+    counts, bits = _chains_by_maximum(P.below, _linear_extension(P), m - 1)
+    return sum((c >> (m - 2) * bits) * up.bit_count() for c, up in zip(counts, P.above))
 
 
 def count_chains_through(P: Poset, m: int, anchor: int) -> int:
@@ -370,24 +368,31 @@ def count_chains_through(P: Poset, m: int, anchor: int) -> int:
         raise ValidationError("anchor out of range")
     if m > P.n:
         return 0
-    down = [current[anchor] for current in _chains_by_maximum(P, m)]
-    up = [current[anchor] for current in _chains_by_maximum(reverse_order(P), m)]
-    return sum(down[t] * up[m - 1 - t] for t in range(m))
+    # Slot m - 1 of the product sums the t-chains ending at the anchor times the
+    # (m + 1 - t)-chains starting there; its lower slots, shorter ones, do not carry.
+    down, bits = _chains_by_maximum(P.below, _linear_extension(P), m)
+    up, _ = _chains_by_maximum(P.above, _linear_extension(P)[::-1], m)
+    return (down[anchor] * up[anchor] >> (m - 1) * bits) & ((1 << bits) - 1)
 
 
-def _chains_by_maximum(P: Poset, top: int) -> Iterator[list[int]]:
-    """Per-size vectors for t = 1..top: entry x counts the t-chains with maximum x.
+def _chains_by_maximum(rows: Sequence[int], order: Sequence[int], top: int) -> tuple[list, int]:
+    """Per element x, its t-chains for t = 1..top in slot t - 1 of ``bits`` bits each.
 
-    Each vector is computed from the previous one alone (a t-chain is a
-    (t-1)-chain plus an element above its maximum), so no element order is
-    needed.
+    ``rows[x]`` holds the elements a chain may take next to x (``below``, or
+    ``above`` for chains starting at x), and ``order`` lists x after them, so
+    x's slots are its row's summed, moved up one, plus 1.  A slot sum counts
+    chains of at most top + 1 elements, at most C(n, min(top, n // 2)) < 2**bits.
     """
-    preds = [list(iter_bits(mask)) for mask in P.below]
-    current = [1] * P.n
-    yield current
-    for _ in range(top - 1):
-        current = [sum(current[j] for j in pred) for pred in preds]
-        yield current
+    n = len(rows)
+    bits = comb(n, min(top, n // 2)).bit_length()
+    full = (1 << top * bits) - 1
+    counts = [0] * n
+    for x in order:
+        total = 0
+        for j in iter_bits(rows[x]):
+            total += counts[j]
+        counts[x] = (total << bits | 1) & full
+    return counts, bits
 
 
 def count_antichains_of_size(P: Poset, m: int) -> int:

@@ -35,6 +35,39 @@ def random_dag(rng, n):
     )
 
 
+def list_matching(adjacency):
+    """Reference maximum matching over adjacency lists, left -> right.
+
+    The augmenting-path search that ``posets.max_bipartite_matching_pairs``
+    runs on bitmask rows, kept here on lists: one search per left vertex in
+    ascending order, each neighbour list walked by its own iterator.
+    """
+    match_l, match_r = {}, {}
+    for root in sorted(adjacency):
+        stack = [(root, iter(adjacency[root]))]
+        rights = []  # rights[t] is adjacent to stack[t], matched to stack[t + 1]
+        seen = set()
+        while stack:
+            for v in stack[-1][1]:
+                if v not in seen:
+                    break
+            else:
+                stack.pop()
+                if rights:
+                    rights.pop()
+                continue
+            seen.add(v)
+            rights.append(v)
+            w = match_r.get(v)
+            if w is None:
+                for (u, _), x in zip(stack, rights):
+                    match_l[u] = x
+                    match_r[x] = u
+                break
+            stack.append((w, iter(adjacency[w])))
+    return match_l
+
+
 @pytest.fixture
 def default_recursion_limit():
     """Run the test from CPython's default recursion limit and restore the old one after."""

@@ -517,6 +517,18 @@ class TestSearch:
         code, _ = run_cli(["search", "posets", "--n", "10", "--k", "2"])
         assert code == EXIT_BUDGET
 
+    def test_heuristic_past_the_construct_cap_exits_3_before_building(self, capsys):
+        # Its seed, tau of length 10**9, would take gigabytes if built.
+        argv = ["search", "heuristic", "--n", "1000000000", "--k", "2", "--trials", "0"]
+        assert run_cli(argv) == (EXIT_BUDGET, "")
+        assert "construct size cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, code", [(100, EXIT_OK), (101, EXIT_BUDGET)])
+    def test_heuristic_size_cap_boundary(self, monkeypatch, n, code):
+        monkeypatch.setattr(cli, "CONSTRUCT_MAX_N", 100)
+        argv = ["search", "heuristic", "--n", str(n), "--k", "2", "--trials", "0"]
+        assert run_cli(argv)[0] == code
+
 
 class TestRepro:
     def test_quick_tables(self):
@@ -592,6 +604,24 @@ class TestContracts:
     def test_unwritable_out_is_validation_error(self, tmp_path):
         argv = ["formula", "--k", "2", "--n", "5", "--out", str(tmp_path / "missing" / "x")]
         assert run_cli(argv) == (EXIT_VALIDATION, "")
+
+    @pytest.mark.parametrize(
+        "argv, env, stdin_text",
+        [
+            (["--workers", "-3", "search", "heuristic", "--n", "5", "--k", "2"], None, ""),
+            (["search", "posets", "--n", "5", "--k", "2"], "-7", ""),
+            (["--workers", "0", "count", "--k", "2"], None, "2 1 3"),
+        ],
+        ids=["flag", "env", "non-search"],
+    )
+    def test_workers_below_one_is_validation_error(
+        self, monkeypatch, capsys, argv, env, stdin_text
+    ):
+        monkeypatch.delenv("MONOSEQ_WORKERS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("MONOSEQ_WORKERS", env)
+        assert run_cli(argv, stdin_text) == (EXIT_VALIDATION, "")
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_malformed_environment_fails_before_the_command_runs(self, monkeypatch):
         monkeypatch.setenv("MONOSEQ_WORKERS", "x")

@@ -72,6 +72,38 @@ _SIGMA_3_2_DAG = (
     '{"n": 13, "relation": [[2, 8], [4, 9], [5, 6], [6, 10], [8, 3], [9, 7], [10, 1], [11, 4],'
     ' [11, 8], [12, 4], [12, 6], [13, 2]]}'
 )
+# Two 40-element witness-free orders on shuffled ids (their cover pairs): a
+# layered order of alternating level sizes 3 and 2 with one or two lower
+# covers per element, and a random DAG.  Both run the matching, the chain
+# counts and the anchored chain count through the CLI.
+_LAYERED_40 = json.dumps(
+    {
+        "n": 40,
+        "relation": [[1, 11], [2, 37], [3, 19], [3, 27], [4, 18], [4, 20], [4, 35], [5, 8],
+                     [5, 14], [5, 32], [6, 12], [9, 22], [11, 7], [11, 39], [12, 33], [13, 9],
+                     [14, 4], [14, 26], [15, 13], [15, 28], [20, 30], [21, 10], [21, 17],
+                     [22, 3], [23, 11], [24, 21], [25, 36], [26, 18], [26, 35], [28, 24],
+                     [28, 29], [29, 21], [30, 15], [33, 5], [34, 31], [34, 38], [35, 34],
+                     [36, 1], [36, 23], [37, 1], [37, 6], [37, 23], [38, 28], [39, 40],
+                     [40, 8], [40, 14]],
+    }
+)
+_DAG_40 = json.dumps(
+    {
+        "n": 40,
+        "relation": [[1, 5], [1, 13], [2, 16], [4, 2], [4, 36], [6, 23], [7, 16], [9, 15],
+                     [10, 6], [10, 24], [10, 38], [12, 22], [13, 8], [14, 30], [16, 8], [18, 7],
+                     [18, 19], [19, 3], [20, 1], [20, 19], [20, 25], [20, 37], [22, 2],
+                     [22, 28], [27, 30], [28, 16], [29, 23], [29, 40], [31, 38], [32, 5],
+                     [32, 12], [32, 21], [32, 26], [33, 6], [33, 16], [33, 30], [34, 4],
+                     [34, 19], [34, 21], [34, 37], [35, 1], [36, 14], [37, 22], [38, 2],
+                     [38, 3], [39, 1], [40, 31], [40, 32], [40, 36]],
+    }
+)
+# Anchors through which few maximum chains pass, so the check reaches its
+# anchored (k+1)-chain count.
+_ANCHORED_LAYERED_40 = f'{{"poset": {_LAYERED_40}, "k": 15, "ell": 1, "anchor": 5}}'
+_ANCHORED_DAG_40 = f'{{"poset": {_DAG_40}, "k": 7, "ell": 1, "anchor": 2}}'
 # One 24-set with b = 12: C(24, 12) = 2,704,156 subsets, over counting.SUBSET_BUDGET.
 _SHADOW_24 = json.dumps({"ground_size": 24, "members": [list(range(24))], "b": 12})
 _CHAIN_10 = {
@@ -153,6 +185,13 @@ CASES = [
     (["formula", "--k", "0", "--n", "5"], "", {}),
     (["formula", "--k", "200000", "--n", "40000000001"], "", {}),
     (["lemma", "shadow"], _SHADOW_24, {}),
+    *(
+        (["poset", action, *flags], order, {})
+        for order in (_LAYERED_40, _DAG_40)
+        for action, *flags in (("decompose",), ("hk", "--k", "3"), ("hk", "--k", "5"))
+    ),
+    (["lemma", "signature-bound"], _ANCHORED_LAYERED_40, {}),
+    (["lemma", "signature-bound"], _ANCHORED_DAG_40, {}),
 ]
 
 
@@ -182,6 +221,10 @@ _INPUT_NAMES = {
     _SIGMA_3_1_DAG: "sigma31-dag",
     _SIGMA_3_2_DAG: "sigma32-dag",
     _SHADOW_24: "shadow24",
+    _LAYERED_40: "layered40",
+    _DAG_40: "dag40",
+    _ANCHORED_LAYERED_40: "anchored-layered40",
+    _ANCHORED_DAG_40: "anchored-dag40",
 }
 
 

@@ -25,7 +25,22 @@ from monoseq.posets import (
     poset_from_relation,
 )
 
-from conftest import permutations_st, random_dag, random_permutation
+from conftest import list_matching, permutations_st, random_dag, random_permutation
+
+
+def list_chain_cover(P, i, j):
+    """The chains of disjoint_chain_cover, built the list way: adjacency lists
+    filtered from dec.hasse, matched by the reference list matcher."""
+    dec = decompose(P)
+    chains = [[y] for y in dec.a_prime[j - 1]]
+    for m in range(j - 1, i - 1, -1):
+        heads = {ch[0]: ch for ch in chains}
+        adjacency = {x: [] for x in dec.a_prime[m - 1]}
+        for x, y in dec.hasse[m - 1]:
+            if x in adjacency and y in heads:
+                adjacency[x].append(y)
+        chains = [[x] + heads[y] for x, y in sorted(list_matching(adjacency).items())]
+    return chains
 
 
 class TestDecompose:
@@ -213,6 +228,23 @@ class TestDisjointChainCover:
         for P in (poset_from_perm(p), random_dag(rng, rng.randint(1, 12))):
             h = decompose(P).h
             assert len(disjoint_chain_cover(P, 1, h).chains) <= len(min_height_reducing_set(P))
+
+    def test_chains_match_the_list_construction(self):
+        rng = random.Random(20261021)
+        sigma = poset_from_perm(build_sigma_extremal(3, 1))
+        fixtures = [
+            disjoint_chains_poset([4, 4, 4]),
+            sigma.delete(decompose(sigma).levels[0]),
+            poset_from_relation(3, [(0, 2), (1, 2)]),
+            poset_from_relation(7, [(0, 1), (0, 2), (1, 5), (1, 6), (2, 5), (3, 4), (4, 5)]),
+            poset_from_perm(build_tau(3, 13)),
+            *(random_dag(rng, rng.randint(1, 14)) for _ in range(40)),
+        ]
+        for P in fixtures:
+            h = decompose(P).h
+            for i in range(1, h + 1):
+                for j in range(i, h + 1):
+                    assert disjoint_chain_cover(P, i, j).chains == list_chain_cover(P, i, j)
 
     def test_rejects_bad_levels(self):
         with pytest.raises(ValidationError):
