@@ -241,22 +241,24 @@ def level_of_each(P: Poset) -> list[int]:
     """level[i] = size of the longest chain whose maximum is i (1-based levels).
 
     With a witness this is the longest increasing subsequence of the witness
-    ending at position i; without one, a sweep over each element's
-    predecessors in a linear extension.  Computed once per poset and cached;
-    callers must not mutate the list.
+    ending at position i; without one, a sweep in a linear extension that
+    puts i one above the highest level its ``below`` row meets, each level a
+    bitmask.  Computed once per poset and cached; do not mutate the list.
     """
     key = "levels"
     if key not in P._cache:
         if P.witness is not None:
             P._cache[key] = _patience_levels(P.witness.values)
         else:
-            level = [1] * P.n
+            level, members = [0] * P.n, [0]  # members[t]: the elements at level t >= 1
             for i in _linear_extension(P):
-                best = 0
-                for j in iter_bits(P.below[i]):
-                    if level[j] > best:
-                        best = level[j]
-                level[i] = best + 1
+                t = len(members)
+                while t > 1 and not P.below[i] & members[t - 1]:
+                    t -= 1
+                if t == len(members):
+                    members.append(0)
+                members[t] |= 1 << i
+                level[i] = t
             P._cache[key] = level
     return P._cache[key]
 

@@ -409,11 +409,8 @@ def heuristic_min(
 _DownSets = dict[int, tuple[int, int]]
 
 
-def _grow(
-    downsets: _DownSets, mask: int, j: int, width: int, k: int
-) -> tuple[_DownSets, list[int]]:
-    """The down-set map of ids <= j once j goes above the ids in mask, and
-    the count placing j + 1 above each of its keys adds, in key order.
+def _grow(downsets: _DownSets, mask: int, j: int, width: int) -> _DownSets:
+    """The down-set map of ids <= j once j goes above the ids in mask.
 
     downsets is the map of ids < j with its keys ascending; mask is one of
     them.  With x a shift up by one width-bit slot, a key D gets A_D +
@@ -421,20 +418,18 @@ def _grow(
     x*C_mask; min_hk_over_posets shows why.  Bit j is above every key, so
     the keys stay ascending.
     """
-    shift, slot = k * width, (1 << width) - 1
-    child, placed = {}, []
-    for d, (chains, antichains) in downsets.items():
-        antichains += downsets[d | mask][1] << width
-        child[d] = (chains, antichains)
-        placed.append((chains + antichains) >> shift & slot)
     under = downsets[mask][0] << width
-    bit = 1 << j
-    for d, (chains, antichains) in downsets.items():
-        if d & mask == mask:
-            chains += under
-            child[d | bit] = (chains, antichains)
-            placed.append((chains + antichains) >> shift & slot)
-    return child, placed
+    child = {d: (c, a + (downsets[d | mask][1] << width)) for d, (c, a) in downsets.items()}
+    child.update((d | 1 << j, (c + under, a)) for d, (c, a) in downsets.items() if d & mask == mask)
+    return child
+
+
+def _following(downsets: _DownSets, placed: list[int], mask: int, width: int, k: int) -> list[int]:
+    """What placing j + 1 above each key of _grow(downsets, mask, j, width) adds, from placed."""
+    low, slot = (k - 1) * width, (1 << width) - 1
+    under = downsets[mask][0] >> low & slot
+    following = [p + (downsets[d | mask][1] >> low & slot) for d, p in zip(downsets, placed)]
+    return following + [p + under for d, p in zip(downsets, placed) if d & mask == mask]
 
 
 @dataclass(frozen=True)
@@ -481,14 +476,18 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
     i, so the terms are disjoint, and a child is cut when count + added +
     (n-j-1)*a reaches the incumbent.
 
-    Guard: a surviving child gets its map and placement counts from _grow
-    and is entered only if count' + (n-j-1)*a' stays below the incumbent,
-    with count' = count + added and a' its least placement count.  Each
-    added'' >= a', so otherwise the child's loop would cut every placement
-    on count' + added'' + (n-j-2)*a': skipping it saves a loop over every
-    key and keeps the DFS order, the minimum and the first minimizer.  A
-    surviving placement of the last id is a leaf and updates the incumbent
-    at once.
+    Guard: a surviving child is entered, and gets its map from _grow, only
+    if count' + (n-j-1)*a' stays below the incumbent, with count' = count +
+    added and a' its least placement count.  Each added'' >= a', so
+    otherwise the child's loop would cut every placement on count' +
+    added'' + (n-j-2)*a': skipping it keeps the DFS order, the minimum and
+    the first minimizer.  As no slot carries (see Counts), a key D of the
+    child adds placed[D] plus slot k-1 of A_{D|M}, and D | {j} adds
+    placed[D] plus slot k-1 of C_M.  Each is at least placed[D], so a scan
+    by ascending placed[D] decides the guard exactly: it enters at the
+    first count at most cap = (best - count' - 1) // (n-j-1) and skips once
+    placed[D] passes cap.  A surviving placement of the last id is a leaf
+    and updates the incumbent at once.
 
     Counts: each closed down-set D of the prefix carries two integers in
     slots of width = C(n, n//2).bit_length() bits: slot t of C_D counts the
@@ -508,6 +507,8 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
     a map.  The maps do not depend on k, so no allocation grows with it.
     posets_visited counts every (node, down-set) placement evaluated, cut
     or not, so a child skipped by the guard counts all of its placements.
+    Its keys D | {j} are as many as the antichains outside M (the maximal
+    elements of D - M): the sum of the slots of A_M.
 
     At k = 1 every pair is a chain or an antichain, so every order has
     h_1 = C(n,2) and no order is enumerated: the witness is the antichain,
@@ -522,6 +523,7 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
             budget=budgets.poset_enum_max_n,
         )
     width = comb(n, n // 2).bit_length()
+    low, slot = (k - 1) * width, (1 << width) - 1
     below = [0] * n
     best = m_tau_formula(k, n) + 1
     best_below: Optional[list[int]] = None
@@ -532,6 +534,7 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
         placed[i] is the count that placing j above the i-th one adds."""
         nonlocal best, best_below, visited
         closing = (n - j - 1) * min(placed)
+        ranked = sorted(zip(placed, downsets))
         for mask, added in zip(downsets, placed):
             if count + added + closing >= best:
                 continue
@@ -539,10 +542,20 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
             if j == n - 1:
                 best, best_below = count + added, list(below)
                 continue
-            child, following = _grow(downsets, mask, j, width, k)
-            visited += len(following)
-            if count + added + (n - j - 1) * min(following) < best:
-                rec(j + 1, count + added, child, following)
+            chains, antichains = downsets[mask]
+            visited += len(downsets)
+            while antichains:  # one key contains mask per antichain outside mask
+                visited += antichains & slot
+                antichains >>= width
+            cap = (best - count - added - 1) // (n - j - 1)
+            room = cap - (chains >> low & slot)
+            for p, d in ranked:
+                if p > cap:
+                    break
+                if p + (downsets[d | mask][1] >> low & slot) <= cap or d | mask == d and p <= room:
+                    following = _following(downsets, placed, mask, width, k)
+                    rec(j + 1, count + added, _grow(downsets, mask, j, width), following)
+                    break
 
     if k == 1:
         best, best_below = n * (n - 1) // 2, [0] * n

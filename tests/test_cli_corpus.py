@@ -100,6 +100,29 @@ _DAG_40 = json.dumps(
                      [38, 3], [39, 1], [40, 31], [40, 32], [40, 36]],
     }
 )
+# A witness-free 300-chain on shuffled ids (its t-th element is id 1 + 97t mod
+# 300) and a 60-element random DAG (its cover pairs), both through the
+# witness-free level sweep.
+_CHAIN_300 = json.dumps(
+    {"n": 300, "relation": [[1 + 97 * t % 300, 1 + 97 * (t + 1) % 300] for t in range(299)]}
+)
+_DAG_60 = json.dumps(
+    {
+        "n": 60,
+        "relation": [[1, 10], [2, 23], [2, 58], [4, 9], [4, 19], [5, 4], [5, 60], [8, 3], [9, 31],
+                     [9, 52], [11, 31], [12, 10], [13, 4], [14, 15], [14, 25], [14, 35], [16, 50],
+                     [18, 33], [18, 42], [21, 1], [21, 5], [21, 12], [23, 9], [23, 22], [24, 12],
+                     [24, 15], [25, 30], [26, 10], [28, 11], [28, 37], [28, 52], [29, 22], [32, 8],
+                     [32, 40], [32, 42], [32, 50], [33, 12], [33, 19], [33, 43], [33, 46],
+                     [33, 57], [34, 15], [34, 35], [34, 57], [35, 4], [35, 10], [36, 5], [36, 37],
+                     [38, 6], [39, 34], [39, 46], [39, 59], [40, 2], [40, 20], [40, 37], [41, 10],
+                     [42, 11], [44, 16], [44, 28], [45, 50], [46, 50], [47, 8], [47, 34], [48, 17],
+                     [48, 33], [48, 36], [48, 54], [49, 12], [49, 37], [49, 60], [50, 20],
+                     [50, 52], [51, 55], [53, 9], [53, 18], [53, 44], [54, 41], [55, 17], [55, 21],
+                     [55, 22], [55, 26], [55, 30], [55, 56], [56, 11], [56, 33], [58, 9], [58, 22],
+                     [58, 27], [59, 12], [59, 22], [60, 16], [60, 41], [60, 57]],
+    }
+)
 # Anchors through which few maximum chains pass, so the check reaches its
 # anchored (k+1)-chain count.
 _ANCHORED_LAYERED_40 = f'{{"poset": {_LAYERED_40}, "k": 15, "ell": 1, "anchor": 5}}'
@@ -192,6 +215,13 @@ CASES = [
     ),
     (["lemma", "signature-bound"], _ANCHORED_LAYERED_40, {}),
     (["lemma", "signature-bound"], _ANCHORED_DAG_40, {}),
+    (["search", "posets", "--n", "8", "--k", "2"], "", {}),
+    (["search", "posets", "--n", "9", "--k", "3"], "", {}),
+    *(
+        (["poset", *action], order, {})
+        for order in (_CHAIN_300, _DAG_60)
+        for action in (["decompose"], ["surplus", "--k", "3"])
+    ),
 ]
 
 
@@ -225,6 +255,8 @@ _INPUT_NAMES = {
     _DAG_40: "dag40",
     _ANCHORED_LAYERED_40: "anchored-layered40",
     _ANCHORED_DAG_40: "anchored-dag40",
+    _CHAIN_300: "chain300",
+    _DAG_60: "dag60",
 }
 
 

@@ -276,6 +276,41 @@ class TestHeightWidth:
                 tracemalloc.stop()
             assert peak < 1_000_000
 
+    def test_witness_free_levels_are_longest_chains(self):
+        # Random DAGs on shuffled ids, each holding the standard example S_3
+        # (a_i < b_j exactly when i != j), so none has dimension 2, against
+        # the longest path ending at each element of the generating DAG.
+        rng = random.Random(20261022)
+        for _ in range(40):
+            n = rng.randint(6, 80)
+            lower = rng.randint(0, n - 6)
+            a, b = range(lower, lower + 3), range(lower + 3, lower + 6)
+            density = rng.random() / 4
+
+            def related(x, y):  # x < y
+                if lower <= x and y < lower + 6:
+                    return x in a and y in b and y - x != 3
+                return rng.random() < density
+
+            edges = [(x, y) for x, y in combinations(range(n), 2) if related(x, y)]
+            ids = rng.sample(range(n), n)
+            pairs = [(ids[x], ids[y]) for x, y in edges]
+            preds = [[] for _ in range(n)]
+            for x, y in pairs:
+                preds[y].append(x)
+            longest = [0] * n
+            for y in ids:  # a linear extension of the generating DAG
+                longest[y] = 1 + max((longest[x] for x in preds[y]), default=0)
+            P = poset_from_relation(n, pairs)
+            assert all(
+                P.less(ids[x], ids[y]) == (y - x != 3) for x in a for y in b
+            ), edges
+            assert level_of_each(P) == longest, edges
+        n = 3_000
+        ids = [1_009 * t % n for t in range(n)]
+        P = poset_from_relation(n, [(ids[t], ids[t + 1]) for t in range(n - 1)])
+        assert [level_of_each(P)[x] for x in ids] == list(range(1, n + 1))
+
     def test_witness_levels_at_the_ends(self):
         for P in (poset_from_perm(random_permutation(random.Random(300), 300)), chain_poset(1)):
             assert level_of_each(P) == level_of_each(witness_free(P))

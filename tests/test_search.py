@@ -23,6 +23,7 @@ from monoseq.posets import (
 import monoseq
 from monoseq import DEFAULT_BUDGETS, search
 from monoseq.search import (
+    _following,
     _grow,
     exhaustive_min,
     heuristic_min,
@@ -420,9 +421,9 @@ class TestMinHkOverPosets:
         # by _grow without any cut.  Each node's keys must be exactly the
         # closed down-sets of its order, in ascending order, and every slot of
         # each down-set's two integers must match counts made from scratch on
-        # the induced orders.  The map must not depend on k, and the
-        # placement counts returned for k = 2..4 must be the k-chains inside
-        # plus the k-antichains outside each key, in key order.
+        # the induced orders.  The placement counts _following derives from
+        # the parent's for k = 2..4 must be the k-chains inside plus the
+        # k-antichains outside each key, in key order.
         n, ks = 6, (2, 3, 4)
         width = comb(n, n // 2).bit_length()
         sizes = range(1, n + 1)
@@ -431,7 +432,7 @@ class TestMinHkOverPosets:
             assert all(c < 1 << width for c in counts)
             return sum(c << t * width for t, c in enumerate(counts))
 
-        stack = [([], {0: (1, 1)}, {})]
+        stack = [([], {0: (1, 1)}, {k: [0] for k in ks})]
         while stack:
             below, downsets, placed = stack.pop()
             j = len(below)
@@ -448,11 +449,11 @@ class TestMinHkOverPosets:
                     assert counts[i] == chains[k] + antichains[k], (below, d, k)
             if j < n:
                 for mask in closed:
-                    grown = {k: _grow(downsets, mask, j, width, k) for k in ks}
-                    child = grown[ks[0]][0]
-                    assert all(g[0] == child for g in grown.values()), (below, mask)
-                    following = {k: g[1] for k, g in grown.items()}
-                    stack.append((below + [mask], child, following))
+                    following = {
+                        k: _following(downsets, counts, mask, width, k)
+                        for k, counts in placed.items()
+                    }
+                    stack.append((below + [mask], _grow(downsets, mask, j, width), following))
 
     def test_longer_vectors_at_k_3_and_4(self):
         # k >= 3 reads the slots past slot 2.
@@ -497,18 +498,18 @@ class TestMinHkOverPosets:
             assert found == _reference_poset_minimum(n, k), (n, k)
 
     def test_down_set_maps_only_for_surviving_children(self, monkeypatch):
-        # One map per placement that survives its cut and is not a leaf,
-        # whether or not the guard then enters the child.
+        # One map per child the guard enters; the guard decides from the
+        # parent's counts, so the 4,155 children it skips get no map.
         calls = []
         grow = search._grow
 
-        def counted(downsets, mask, j, width, k):
+        def counted(downsets, mask, j, width):
             calls.append(j)
-            return grow(downsets, mask, j, width, k)
+            return grow(downsets, mask, j, width)
 
         monkeypatch.setattr(search, "_grow", counted)
         assert min_hk_over_posets(8, 2).posets_visited == 106_613
-        assert len(calls) == 5_312
+        assert len(calls) == 1_157
 
     def test_size_cap(self):
         with pytest.raises(BudgetExceededError):
