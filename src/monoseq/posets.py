@@ -5,8 +5,9 @@ order is stored as dense bitmask rows in both directions, so comparability
 queries are O(1) and the decomposition loops stay cheap at desk scale.  The
 rows come from two constructors, ``poset_from_perm`` (one sweep over a
 permutation's values) and ``poset_from_relation`` (a relation closed in
-Kahn's topological order), or from ``reverse_order``'s swap of the two row
-tuples.  Only ``poset_from_perm`` attaches a witness, and
+Kahn's topological order), or from rows already closed: ``reverse_order``
+swaps the two tuples, and a witness-free ``induced`` keeps part of each.
+Only ``poset_from_perm`` attaches a witness, and
 ``poset_from_json`` is the one place a witness is checked against a
 relation.
 
@@ -21,9 +22,10 @@ built.  The dual order (swap the two roles) exists exactly in this
 dimension-2 case.
 
 Without a witness, width is n minus a matching over the ``above`` rows,
-chains are counted by one sweep over the rows in a linear extension with
-a popcount for the last member, and antichains by a bitmask backtracking
-count that stops three members short.  The 3-antichains inside a
+chains are counted by one sweep over the ``below`` rows in a linear
+extension with a popcount for the last member (the chains through an
+element are those P minus it lacks), and antichains by a bitmask
+backtracking count that stops three members short.  The 3-antichains inside a
 candidate set S come from one pass over S, by inclusion-exclusion on the
 comparability graph restricted to S.  With r = |S|, a_v = |above[v] & S|,
 b_v = |below[v] & S| and d_v = a_v + b_v,
@@ -96,20 +98,33 @@ class Poset:
         return out
 
     def induced(self, keep: Sequence[int]) -> "Poset":
-        """Subposet on the given elements, relabeled in ascending id order."""
+        """Subposet on the given distinct ids, relabeled in ascending id order.
+
+        With a witness, the kept subsequence re-ranked.  Without one, the kept
+        part of a closed row is closed: each run of consecutive kept ids moves
+        down into place in both row tuples.
+        """
         keep = sorted(keep)
-        if self.witness is not None and keep:  # the kept subsequence, re-ranked
+        if len(set(keep)) < len(keep) or keep and not 0 <= keep[0] <= keep[-1] < self.n:
+            raise ValidationError(f"element ids must be distinct and lie in 0..{self.n - 1}")
+        if self.witness is not None and keep:
             vals = [self.witness.values[e] for e in keep]
             order = {v: rank + 1 for rank, v in enumerate(sorted(vals))}
             return poset_from_perm(Permutation(tuple(order[v] for v in vals)))
-        pos = {e: idx for idx, e in enumerate(keep)}
-        kept = sum(1 << e for e in keep)
-        pairs = [(pos[i], pos[j]) for i in keep for j in iter_bits(self.above[i] & kept)]
-        return poset_from_relation(len(keep), pairs)
+        runs: dict[int, int] = {}  # gap -> the run of kept ids that moves down by gap
+        for pos, e in enumerate(keep):
+            runs[e - pos] = runs.get(e - pos, 0) | 1 << e
+        above, below = (
+            tuple(sum((rows[e] & run) >> gap for gap, run in runs.items()) for e in keep)
+            for rows in (self.above, self.below)
+        )
+        return Poset(len(keep), above, below)
 
     def delete(self, drop: Iterable[int]) -> "Poset":
         gone = set(drop)
-        return self.induced([e for e in range((self.n)) if e not in gone])
+        if gone and not 0 <= min(gone) <= max(gone) < self.n:
+            raise ValidationError(f"element ids must lie in 0..{self.n - 1}")
+        return self.induced([e for e in range(self.n) if e not in gone])
 
     def to_json_dict(self) -> dict:
         out = {"n": self.n, "relation": [[i + 1, j + 1] for i, j in self.cover_pairs()]}
@@ -345,10 +360,13 @@ def count_chains_of_size(P: Poset, m: int) -> int:
     """Exact number of m-element chains.
 
     With a witness these are the witness's increasing m-subsequences, counted
-    by the ``monoseq.counting`` kernel; without one, by the chain sweep up to
-    size m - 1 and a popcount for the last member: each m-chain is counted
-    once, at its second-largest member x, as an (m - 1)-chain with maximum x
-    times the elements above x.
+    by the ``monoseq.counting`` kernel.  Without one, a sweep in a linear
+    extension gives each x its t-chains with maximum x, t = 1..m-1, in slot
+    t - 1 of ``bits`` bits: its ``below`` row's slots summed, moved up one,
+    plus 1.  A slot sum counts chains of at most m elements, at most
+    C(n, min(m - 1, n // 2)) < 2**bits, so no slot carries.  Each m-chain is
+    counted once, at its second-largest member x, as an (m - 1)-chain with
+    maximum x times the elements above x.
     """
     if m < 1:
         raise ValidationError("chain size must be >= 1")
@@ -358,43 +376,24 @@ def count_chains_of_size(P: Poset, m: int) -> int:
         return 0
     if m == 1:
         return P.n
-    counts, bits = _chains_by_maximum(P.below, _linear_extension(P), m - 1)
+    bits = comb(P.n, min(m - 1, P.n // 2)).bit_length()
+    full = (1 << (m - 1) * bits) - 1
+    below = P.below
+    counts = [0] * P.n
+    for x in _linear_extension(P):
+        total = 0
+        for j in iter_bits(below[x]):
+            total += counts[j]
+        counts[x] = (total << bits | 1) & full
     return sum((c >> (m - 2) * bits) * up.bit_count() for c, up in zip(counts, P.above))
 
 
 def count_chains_through(P: Poset, m: int, anchor: int) -> int:
-    """Exact number of m-element chains containing the anchor element."""
-    if m < 1:
-        raise ValidationError("chain size must be >= 1")
+    """Exact number of m-element chains containing the anchor element: the
+    m-chains of P that P minus the anchor lacks."""
     if not 0 <= anchor < P.n:
         raise ValidationError("anchor out of range")
-    if m > P.n:
-        return 0
-    # Slot m - 1 of the product sums the t-chains ending at the anchor times the
-    # (m + 1 - t)-chains starting there; its lower slots, shorter ones, do not carry.
-    down, bits = _chains_by_maximum(P.below, _linear_extension(P), m)
-    up, _ = _chains_by_maximum(P.above, _linear_extension(P)[::-1], m)
-    return (down[anchor] * up[anchor] >> (m - 1) * bits) & ((1 << bits) - 1)
-
-
-def _chains_by_maximum(rows: Sequence[int], order: Sequence[int], top: int) -> tuple[list, int]:
-    """Per element x, its t-chains for t = 1..top in slot t - 1 of ``bits`` bits each.
-
-    ``rows[x]`` holds the elements a chain may take next to x (``below``, or
-    ``above`` for chains starting at x), and ``order`` lists x after them, so
-    x's slots are its row's summed, moved up one, plus 1.  A slot sum counts
-    chains of at most top + 1 elements, at most C(n, min(top, n // 2)) < 2**bits.
-    """
-    n = len(rows)
-    bits = comb(n, min(top, n // 2)).bit_length()
-    full = (1 << top * bits) - 1
-    counts = [0] * n
-    for x in order:
-        total = 0
-        for j in iter_bits(rows[x]):
-            total += counts[j]
-        counts[x] = (total << bits | 1) & full
-    return counts, bits
+    return count_chains_of_size(P, m) - count_chains_of_size(P.delete([anchor]), m)
 
 
 def count_antichains_of_size(P: Poset, m: int) -> int:

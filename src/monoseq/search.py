@@ -38,7 +38,7 @@ from typing import Optional
 from .counting import brute_force_count, count_monotone, swap_price
 from .errors import BudgetExceededError, InvariantError, ValidationError
 from .perms import Permutation, build_tau, canonical_form, m_tau_formula
-from .posets import poset_from_relation
+from .posets import Poset
 
 # Largest n accepted by the exhaustive permutation search.
 EXHAUSTIVE_MAX_N = 11
@@ -566,9 +566,9 @@ def min_hk_over_posets(n: int, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> Po
     if best_below is None:
         raise InvariantError("no enumerated order reached the m_tau_formula seed")
 
-    # Recover the covering pairs of the winning relation.
-    pairs = [(i, j) for j in range(n) for i in range(n) if (best_below[j] >> i) & 1]
-    witness_poset = poset_from_relation(n, pairs)
+    # The winning down-sets are closed, so they are its ``below`` rows as they stand.
+    above = tuple(sum(1 << j for j in range(n) if best_below[j] >> i & 1) for i in range(n))
+    witness_poset = Poset(n, above, tuple(best_below))
     covers = [(i + 1, j + 1) for i, j in witness_poset.cover_pairs()]
 
     perm_minimum: Optional[int] = None

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from pathlib import Path
 from unittest import mock
 
@@ -134,6 +135,43 @@ _CHAIN_10 = {
     "relation": [[i, i + 1] for i in range(1, 10)],
     "witness": list(range(1, 11)),
 }
+# A witnessed random 30-permutation of height 10 (random.Random(1)), its
+# relation every increasing pair; two of its maximum chains pass through
+# element 13, so k = 8, ell = 2 meets the preconditions and reaches the
+# anchored 9-chain count.
+_PERM_30 = [27, 17, 12, 11, 24, 2, 6, 30, 8, 21, 10, 29, 18, 14, 1, 20, 23, 7, 13, 22, 15, 16, 4,
+            9, 3, 25, 26, 28, 19, 5]
+_ANCHORED_PERM_30 = json.dumps(
+    {
+        "poset": {
+            "n": 30,
+            "relation": [
+                [i + 1, j + 1] for i, j in combinations(range(30), 2) if _PERM_30[i] < _PERM_30[j]
+            ],
+            "witness": _PERM_30,
+        },
+        "k": 8,
+        "ell": 2,
+        "anchor": 13,
+    }
+)
+# The two sigma(4, v) orders without their witness, element t relabelled 8t mod 21.
+_SIGMA_4_1_DAG = json.dumps(
+    {
+        "n": 21,
+        "relation": [[1, 17], [2, 10], [3, 11], [4, 12], [5, 11], [5, 13], [6, 14], [7, 13],
+                     [7, 15], [8, 16], [9, 15], [9, 17], [10, 18], [11, 19], [12, 20], [13, 21],
+                     [15, 2], [17, 4], [19, 6], [21, 8]],
+    }
+)
+_SIGMA_4_2_DAG = json.dumps(
+    {
+        "n": 21,
+        "relation": [[1, 17], [2, 10], [3, 11], [4, 12], [5, 13], [5, 19], [6, 14], [7, 13],
+                     [7, 15], [8, 16], [9, 15], [9, 17], [10, 18], [11, 19], [12, 20], [13, 21],
+                     [15, 2], [17, 4], [19, 6], [21, 8]],
+    }
+)
 
 # (argv, stdin, environment) for every recorded invocation.
 CASES = [
@@ -222,6 +260,14 @@ CASES = [
         for order in (_CHAIN_300, _DAG_60)
         for action in (["decompose"], ["surplus", "--k", "3"])
     ),
+    (
+        ["lemma", "signature-bound"],
+        json.dumps({"poset": _CHAIN_10, "k": 8, "ell": 2, "anchor": 5}),
+        {},
+    ),
+    (["lemma", "signature-bound"], _ANCHORED_PERM_30, {}),
+    (["poset", "verify-example", "--k", "4"], _SIGMA_4_1_DAG, {}),
+    (["poset", "verify-example", "--k", "4"], _SIGMA_4_2_DAG, {}),
 ]
 
 
@@ -257,6 +303,9 @@ _INPUT_NAMES = {
     _ANCHORED_DAG_40: "anchored-dag40",
     _CHAIN_300: "chain300",
     _DAG_60: "dag60",
+    _ANCHORED_PERM_30: "anchored-perm30",
+    _SIGMA_4_1_DAG: "sigma41-dag",
+    _SIGMA_4_2_DAG: "sigma42-dag",
 }
 
 

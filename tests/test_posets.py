@@ -41,6 +41,26 @@ def witness_free(P):
     return Poset(P.n, P.above, P.below)
 
 
+def _planted_s3_dag(rng, n):
+    """(a, b, edges, ids): a random DAG on 0..n-1 holding the standard example S_3.
+
+    ``edges`` are its pairs x < y.  On a and b, three consecutive ids each,
+    a_i < b_j exactly when i != j, so no order containing them has dimension
+    2.  ``ids`` is a shuffle of 0..n-1 to relabel the DAG with.
+    """
+    lower = rng.randint(0, n - 6)
+    a, b = range(lower, lower + 3), range(lower + 3, lower + 6)
+    density = rng.random() / 4
+
+    def related(x, y):  # x < y
+        if lower <= x and y < lower + 6:
+            return x in a and y in b and y - x != 3
+        return rng.random() < density
+
+    edges = [(x, y) for x, y in combinations(range(n), 2) if related(x, y)]
+    return a, b, edges, rng.sample(range(n), n)
+
+
 class TestConstruction:
     def test_identity_gives_total_order(self):
         P = poset_from_perm(identity(4))
@@ -148,6 +168,68 @@ class TestInduced:
         assert prune(P, 2, 3).rounds
         report = verify_example_structure(sigma, 3)
         assert report.case == "i" and report.passed
+
+    def test_witness_free_subposet_matches_relation_closure(self):
+        rng = random.Random(2026)
+        orders = [random_dag(rng, n) for n in (0, 1, 5, 12, 40)]
+        orders.append(witness_free(poset_from_perm(random_permutation(rng, 30))))
+        for P in orders:
+            n = P.n
+            keeps = [[], list(range(n)), *([e] for e in range(n))]
+            keeps.append([e for e in range(n) if e % 3 != 1])  # runs of two, gaps of one
+            keeps += [rng.sample(range(n), rng.randint(0, n)) for _ in range(20)]
+            for keep in keeps:
+                Q = P.induced(keep)
+                pos = {e: idx for idx, e in enumerate(sorted(keep))}
+                pairs = [(pos[i], pos[j]) for i, j in P.relation_pairs() if i in pos and j in pos]
+                R = poset_from_relation(len(keep), pairs)
+                assert (Q.n, Q.above, Q.below, Q.witness) == (R.n, R.above, R.below, None), keep
+
+    def test_witness_free_subposets_build_no_relation_poset(self, monkeypatch):
+        sigma = witness_free(poset_from_perm(build_sigma_extremal(3, 1)))
+        dag = random_dag(random.Random(41), 40)
+        expected = _chains_through_by_subsets(dag, 3, 20)
+
+        def refuse(*args):
+            raise AssertionError("a witness-free subposet was closed as a relation")
+
+        monkeypatch.setattr(posets, "poset_from_relation", refuse)
+        report = verify_example_structure(sigma, 3)
+        assert report.case == "i" and report.passed
+        assert count_chains_through(dag, 3, 20) == expected
+
+    @pytest.mark.parametrize("witnessed", [True, False], ids=["witnessed", "witness-free"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda P: P.induced([-1, 0]),
+            lambda P: P.induced([1, 1, 2]),
+            lambda P: P.induced([0, 0]),
+            lambda P: P.induced([3]),
+            lambda P: P.induced([5]),
+            lambda P: P.delete([-1]),
+            lambda P: P.delete([2, 3]),
+            lambda P: P.delete([7]),
+        ],
+        ids=[
+            "induced-negative",
+            "induced-repeated",
+            "induced-repeated-only",
+            "induced-n",
+            "induced-past-n",
+            "delete-negative",
+            "delete-n",
+            "delete-past-n",
+        ],
+    )
+    def test_rejects_ids_outside_the_order_or_repeated(self, call, witnessed):
+        P = poset_from_perm(Permutation((2, 3, 1)))
+        with pytest.raises(ValidationError, match=r"element ids must .*lie in 0\.\.2"):
+            call(P if witnessed else witness_free(P))
+
+    def test_delete_reads_its_ids_as_a_set(self):
+        for P in (poset_from_perm(Permutation((2, 3, 1))), witness_free(chain_poset(3))):
+            assert P.delete([1, 1]) == P.delete([1])
 
 
 class TestDual:
@@ -265,6 +347,7 @@ class TestHeightWidth:
             (width, 1),
             (lambda P: count_chains_of_size(P, 4), 2_573_031_125),  # C(500, 4)
             (lambda P: count_chains_through(P, 4, n // 2), 20_584_249),  # C(499, 3)
+            (lambda P: P.delete([n // 2]).above[0], (1 << n - 1) - 2),  # ids 1..n - 2
         ]
         for query, expected in queries:
             P = witness_free(chain_poset(n))
@@ -283,17 +366,7 @@ class TestHeightWidth:
         rng = random.Random(20261022)
         for _ in range(40):
             n = rng.randint(6, 80)
-            lower = rng.randint(0, n - 6)
-            a, b = range(lower, lower + 3), range(lower + 3, lower + 6)
-            density = rng.random() / 4
-
-            def related(x, y):  # x < y
-                if lower <= x and y < lower + 6:
-                    return x in a and y in b and y - x != 3
-                return rng.random() < density
-
-            edges = [(x, y) for x, y in combinations(range(n), 2) if related(x, y)]
-            ids = rng.sample(range(n), n)
+            a, b, edges, ids = _planted_s3_dag(rng, n)
             pairs = [(ids[x], ids[y]) for x, y in edges]
             preds = [[] for _ in range(n)]
             for x, y in pairs:
@@ -384,6 +457,30 @@ class TestChainCounting:
         total = count_chains_of_size(P, m)
         anchored = sum(count_chains_through(P, m, x) for x in range(P.n))
         assert anchored == m * total
+
+    def test_anchored_counts_match_subsets_through_the_anchor(self):
+        # Witnessed posets go to the counting kernel; the DAGs hold S_3, so they
+        # have no witness and go to the row sweep.
+        rng = random.Random(33)
+        orders = [poset_from_perm(random_permutation(rng, rng.randint(1, 9))) for _ in range(10)]
+        for _ in range(10):
+            n = rng.randint(6, 9)
+            _, _, edges, ids = _planted_s3_dag(rng, n)
+            orders.append(poset_from_relation(n, [(ids[x], ids[y]) for x, y in edges]))
+        for P in orders:
+            for anchor in range(P.n):
+                for m in range(1, P.n + 2):
+                    expected = _chains_through_by_subsets(P, m, anchor)
+                    assert count_chains_through(P, m, anchor) == expected, (P, m, anchor)
+
+
+def _chains_through_by_subsets(P, m, anchor):
+    """m-element chains containing the anchor, by testing every candidate subset."""
+    others = [x for x in range(P.n) if x != anchor]
+    return sum(
+        all(P.comparable(x, y) for x, y in combinations((anchor, *rest), 2))
+        for rest in combinations(others, m - 1)
+    )
 
 
 def _backtracking_antichains(P, m):
